@@ -3,30 +3,48 @@
 //!
 //! The serving engine's dominant warm-cache cost is re-streaming the CSR
 //! index arrays once per job even when the queued jobs all decode against
-//! the same cached design. [`BatchWorkspace`] owns the lane-major Ψ plane
-//! and the **shared** Δ* for a batch of `B` lanes, and
-//! [`MnDecoder::decode_batch_with`] accumulates all lanes in one design
-//! traversal (`pooled_design::batched::scatter_distinct_batch`) before
-//! finishing each lane through the ordinary selection path — so every
-//! lane's scores, support and estimate are **bit-identical** to an
-//! independent [`MnDecoder::decode_csr_with`] call on that lane's `y`
-//! (exact `u64` sums; the property suite pins this for arbitrary `B`).
+//! the same cached design. [`BatchWorkspace`] owns the lane-major Ψ plane,
+//! the **shared** Δ* and the item-major y plane for a batch of `B` lanes,
+//! and fills them one of two ways:
+//!
+//! * [`BatchWorkspace::accumulate_supports`] — the hot path when the
+//!   caller simulates the lab itself (the engine's workers, the
+//!   Monte-Carlo trials): y is *computed* from each lane's hidden support
+//!   over the design's transpose, `O(k·Δ)` per lane, into a query-major,
+//!   lane-inner plane of `[u64; LANE_CHUNK]` rows, and Ψ is gathered item
+//!   by item from whole rows
+//!   (`pooled_design::batched::decode_sums_support_batch`). The support is
+//!   the *simulated measurement*, exactly what a dense `y = Aᵀσ` would
+//!   compute — the decoder still sees only Ψ and Δ*, which depend on y
+//!   alone.
+//! * [`MnDecoder::decode_batch_with`] — the decoder's usual entry, when
+//!   every lane's `y` is already known: one design traversal scatters all
+//!   lanes (`pooled_design::batched::scatter_distinct_batch`).
+//!
+//! Either way each lane is then finished through the ordinary selection
+//! path, so every lane's scores, support and estimate are
+//! **bit-identical** to an independent [`MnDecoder::decode_csr_with`]
+//! call on that lane's `y` (exact `u64` sums; the property suite pins
+//! this for arbitrary `B`).
 //!
 //! Like [`crate::workspace::MnWorkspace`], the batch workspace is
-//! allocation-free after warm-up at a stable `(lanes, n)` shape; the
+//! allocation-free after warm-up at a stable `(lanes, n, m)` shape; the
 //! engine's batched serving path and the batched Monte-Carlo trials in
 //! `pooled_stats` both hold one per worker.
 
-use pooled_design::batched::scatter_distinct_batch;
+use pooled_design::batched::{
+    decode_sums_support_batch, scatter_distinct_batch, support_plane_rows, LANE_CHUNK,
+};
 use pooled_design::csr::CsrDesign;
 use pooled_design::PoolingDesign;
 
 use crate::mn::MnDecoder;
 use crate::workspace::MnWorkspace;
 
-/// Scratch for a batched decode: `lanes` Ψ lanes, one shared Δ*, and the
-/// single-lane finish scratch (scores/selection/estimate). Create once per
-/// worker (or replicate loop) and reuse across batches.
+/// Scratch for a batched decode: `lanes` Ψ lanes, one shared Δ*, the
+/// chunk-padded y plane of the support-driven kernel, and the single-lane
+/// finish scratch (scores/selection/estimate). Create once per worker (or
+/// replicate loop) and reuse across batches.
 #[derive(Default)]
 pub struct BatchWorkspace {
     lanes: usize,
@@ -36,6 +54,9 @@ pub struct BatchWorkspace {
     /// Shared Δ* (`M·1` ignores the query results, so one plane serves
     /// every lane of the batch).
     dstar: Vec<u64>,
+    /// Query-major, lane-inner y plane of [`Self::accumulate_supports`]:
+    /// chunk `c`'s query `q` is row `c*m + q`, one slot per lane.
+    ys: Vec<[u64; LANE_CHUNK]>,
     /// Per-lane finish scratch, reused lane after lane.
     mn: MnWorkspace,
 }
@@ -61,18 +82,49 @@ impl BatchWorkspace {
         self.lanes
     }
 
-    /// Reserve capacity for a `lanes × n` batch without resizing: callers
-    /// whose batch width jitters (the engine's design-affinity runs) can
-    /// pre-size for their widest possible batch so a later
-    /// [`Self::prepare`] at any width up to it never allocates.
-    pub fn reserve(&mut self, lanes: usize, n: usize) {
-        let psis_cap = lanes * n;
-        if self.psis.capacity() < psis_cap {
-            self.psis.reserve(psis_cap - self.psis.len());
+    /// Reserve capacity for a `lanes × n` batch over `m` queries without
+    /// resizing: callers whose batch width jitters (the engine's
+    /// design-affinity runs) can pre-size for their widest possible batch
+    /// so a later [`Self::prepare`] or [`Self::accumulate_supports`] at
+    /// any width up to it never allocates.
+    pub fn reserve(&mut self, lanes: usize, n: usize, m: usize) {
+        fn reserve_total<T>(v: &mut Vec<T>, total: usize) {
+            v.reserve(total.saturating_sub(v.len()));
         }
-        if self.dstar.capacity() < n {
-            self.dstar.reserve(n - self.dstar.len());
-        }
+        reserve_total(&mut self.psis, lanes * n);
+        reserve_total(&mut self.dstar, n);
+        reserve_total(&mut self.ys, support_plane_rows(lanes, m));
+    }
+
+    /// Fill every lane's Ψ and the shared Δ* from the lanes' hidden
+    /// supports: lane `b`'s distinct support is
+    /// `supports[bounds[b]..bounds[b+1]]`, and its query results are
+    /// executed from it over the design's transpose (see the module docs).
+    /// Sizes the workspace for `bounds.len() - 1` lanes; finish them with
+    /// [`Self::finish_lane`].
+    ///
+    /// # Panics
+    /// As `pooled_design::batched::decode_sums_support_batch`: if `bounds`
+    /// is empty, not ascending, or does not end at `supports.len()`, or a
+    /// support entry is out of range.
+    pub fn accumulate_supports(
+        &mut self,
+        design: &CsrDesign,
+        supports: &[usize],
+        bounds: &[usize],
+    ) {
+        let (n, m) = (design.n(), design.m());
+        let lanes = bounds.len().checked_sub(1).expect("bounds must hold lanes + 1 offsets");
+        self.prepare(lanes, n);
+        self.ys.resize(support_plane_rows(lanes, m), [0; LANE_CHUNK]);
+        decode_sums_support_batch(
+            design,
+            supports,
+            bounds,
+            &mut self.ys,
+            &mut self.psis[..lanes * n],
+            &mut self.dstar[..n],
+        );
     }
 
     /// Mutable `(psis, dstar)` planes for an external accumulation kernel
@@ -199,6 +251,34 @@ mod tests {
             seen += 1;
         });
         assert_eq!(seen, lanes);
+    }
+
+    #[test]
+    fn support_lanes_match_independent_decodes() {
+        // 11 lanes: one full chunk plus a partial one.
+        let (n, k, m, lanes) = (300usize, 5usize, 150usize, 11usize);
+        let seeds = SeedSequence::new(31);
+        let design = CsrDesign::sample(n, m, n / 2, &seeds.child("design", 0));
+        let (mut supports, mut bounds, mut ys) = (Vec::new(), vec![0], Vec::new());
+        for b in 0..lanes {
+            let sigma = Signal::random(n, k, &mut seeds.child("signal", b as u64).rng());
+            ys.extend(execute_queries(&design, &sigma));
+            supports.extend_from_slice(sigma.support());
+            bounds.push(supports.len());
+        }
+        let decoder = MnDecoder::new(k);
+        let mut bw = BatchWorkspace::new();
+        bw.accumulate_supports(&design, &supports, &bounds);
+        assert_eq!(bw.lanes(), lanes);
+        let mut single = MnWorkspace::new();
+        for lane in 0..lanes {
+            decoder.decode_csr_with(&design, &ys[lane * m..(lane + 1) * m], &mut single);
+            assert_eq!(bw.lane_psi(lane), single.psi(), "lane {lane}");
+            let ws = bw.finish_lane(&decoder, lane);
+            assert_eq!(ws.scores(), single.scores(), "lane {lane}");
+            assert_eq!(ws.support(), single.support(), "lane {lane}");
+        }
+        assert_eq!(bw.dstar(), single.delta_star());
     }
 
     #[test]

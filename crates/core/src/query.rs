@@ -10,15 +10,17 @@
 //!
 //! * [`execute_queries`] — query-parallel, `O(distinct(q))` per query; works
 //!   for any design (including streaming).
-//! * [`execute_queries_support`] — support-parallel over the CSR transpose,
-//!   `O(Σ_{i∈supp} Δ*_i) = O(k·m·γ)` total, which wins decisively in the
-//!   sparse regime `k ≪ n`.
+//! * [`execute_queries_support`] / [`execute_queries_support_into`] —
+//!   support-driven over the CSR transpose, `O(Σ_{i∈supp} Δ*_i) = O(k·Δ)`
+//!   total, which wins decisively in the sparse regime `k ≪ n`. Sequential
+//!   and allocation-free: at `k·Δ` incidences a fan-out costs more than
+//!   it saves. The serving engine's workers simulate the lab measurement
+//!   this way.
 
 use rayon::prelude::*;
 
 use pooled_design::csr::CsrDesign;
 use pooled_design::PoolingDesign;
-use pooled_par::scatter::AtomicCounters;
 
 use crate::signal::Signal;
 
@@ -71,14 +73,29 @@ pub fn execute_queries_dense_into<D: PoolingDesign + ?Sized>(
 /// pool. Requires materialized CSR storage.
 pub fn execute_queries_support(design: &CsrDesign, sigma: &Signal) -> Vec<u64> {
     assert_eq!(design.n(), sigma.n(), "design and signal disagree on n");
-    let y = AtomicCounters::new(design.m());
-    sigma.support().par_iter().for_each(|&i| {
-        let (qs, mults) = design.entry_row(i);
-        for (&q, &c) in qs.iter().zip(mults) {
-            y.add(q as usize, c as u64);
+    let mut y = Vec::new();
+    execute_queries_support_into(design, sigma.support(), &mut y);
+    y
+}
+
+/// [`execute_queries_support`] over a raw support slice, writing into `y`
+/// (resized to `m`) and reusing its capacity: `y[q] += A_jq` for every
+/// `(q, A_jq)` in `entry_row(j)`, `j ∈ support`. Bit-identical to
+/// [`execute_queries_dense_into`] on the dense 0/1 signal of `support`.
+///
+/// # Panics
+/// Panics if a support entry is `≥ design.n()`. Entries must be distinct
+/// (a repeated entry would be counted twice).
+pub fn execute_queries_support_into(design: &CsrDesign, support: &[usize], y: &mut Vec<u64>) {
+    y.clear();
+    y.resize(design.m(), 0);
+    for &j in support {
+        assert!(j < design.n(), "support entry {j} out of range for n = {}", design.n());
+        let (qs, mults) = design.entry_row(j);
+        for (&q, &a) in qs.iter().zip(mults) {
+            y[q as usize] += a as u64;
         }
-    });
-    y.into_vec()
+    }
 }
 
 /// Result of the one extra “count everything” query the paper suggests for
@@ -148,6 +165,9 @@ mod tests {
         let d = CsrDesign::sample(400, 80, 200, &seeds);
         let sigma = Signal::random(400, 12, &mut seeds.child("sig", 0).rng());
         assert_eq!(execute_queries(&d, &sigma), execute_queries_support(&d, &sigma));
+        let mut y = vec![9; 3];
+        execute_queries_support_into(&d, &[], &mut y);
+        assert_eq!(y, vec![0; 80]);
     }
 
     #[test]

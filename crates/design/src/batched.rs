@@ -1,5 +1,5 @@
-//! Design-major batched decode kernels: one traversal of the pooling
-//! design serves a whole batch of jobs.
+//! Batched decode kernels: one pass over the pooling design serves a
+//! whole batch of jobs.
 //!
 //! The fused kernels in [`crate::fused`] already collapse a single job's
 //! three sparse products (`y = Aᵀσ`, `Ψ = M·y`, `Δ* = M·1`) into one CSR
@@ -9,19 +9,36 @@
 //! serving engine (`distinct_designs: 1` traffic against a hot LRU cache)
 //! and Monte-Carlo replication (thousands of trials of one shape).
 //!
-//! The kernels here are **structure-of-arrays over a batch of B lanes**:
-//! for each query row, the row's `(entries, mults)` slices are read once —
-//! while they sit in L1 — and used to gather `y_q` and scatter Ψ for *all
-//! B lanes*. CSR index traffic drops from `O(B·nnz)` to `O(nnz)`; what
-//! remains per lane is dense arithmetic against its own planes. Δ* does
-//! not depend on the query results at all, so the batch shares **one**
-//! Δ* plane instead of accumulating B identical copies.
+//! Two families of batch kernel live here.
 //!
-//! Plane layout is lane-major and flat: lane `b` of an `n`-sized plane is
+//! **Support-driven, item-major** ([`decode_sums_support_batch`]) — the
+//! serving and Monte-Carlo hot path on materialized designs. It works in
+//! the paper's sparse regime `‖σ‖₁ = k = o(n)` and follows Algorithm 1's
+//! entry-centric form `Ψᵢ = Σ_{a∋i} y_a`, `Δ*ᵢ = |∂*xᵢ|`:
+//!
+//! * *Query execution* reads each lane's support, not a dense 0/1 plane:
+//!   `y[q] += A_jq` for every `(q, A_jq)` in `entry_row(j)`, `j ∈ supp`.
+//!   That is `O(k·Δ)` incidences per lane instead of all `nnz`.
+//! * *Ψ* is gathered item by item over `entry_row(i)` from a query-major,
+//!   lane-inner y plane of `[u64; LANE_CHUNK]` rows, into a
+//!   `[u64; LANE_CHUNK]` accumulator — the lane loop is a fixed-width
+//!   array add the compiler vectorizes, and the transpose index is
+//!   streamed once per chunk of [`LANE_CHUNK`] lanes.
+//! * *Δ\** is `entry_row(i).len()`: it costs nothing and is shared by
+//!   every lane.
+//!
+//! **Design-major, dense** ([`decode_sums_fused_batch`] and its streaming
+//! twin) — for each query row, the row's `(entries, mults)` slices are
+//! read once and used to gather `y_q` and scatter Ψ for all lanes from
+//! dense 0/1 signals. The streaming twin is the only batch kernel for
+//! designs that never materialize a transpose; the CSR one is kept as the
+//! reference the support-driven kernel is tested against.
+//!
+//! Ψ planes are lane-major and flat: lane `b` of an `n`-sized plane is
 //! `plane[b*n..(b+1)*n]`, so each lane's Ψ hands off to the single-job
 //! finish path as a plain contiguous slice. All sums are exact `u64`
-//! additions, so every lane is **bit-identical** to the single-job kernel
-//! it replaces (pinned by the property suite).
+//! additions, so every lane of every kernel is **bit-identical** to the
+//! single-job kernel it replaces (pinned by the property suite).
 //!
 //! The kernels are deliberately sequential per call: the serving engine
 //! pins each shard's inner parallelism to 1 (shard-level parallelism is
@@ -88,6 +105,92 @@ pub fn decode_sums_fused_batch(
         }
         for &e in entries {
             dstar[e as usize] += 1;
+        }
+    }
+}
+
+/// Lanes per chunk of [`decode_sums_support_batch`]. One
+/// `[u64; LANE_CHUNK]` y row is a whole number of SIMD registers on every
+/// x86-64 and aarch64 target, so the per-item lane loop vectorizes
+/// without target features, and a chunk's `m` rows (`64·m` bytes) stay
+/// cache-resident while the transpose is streamed over them.
+pub const LANE_CHUNK: usize = 8;
+
+/// Rows of the chunk-padded y plane [`decode_sums_support_batch`] takes
+/// for `lanes` lanes over `m` queries: `⌈lanes / LANE_CHUNK⌉ · m`.
+pub fn support_plane_rows(lanes: usize, m: usize) -> usize {
+    lanes.div_ceil(LANE_CHUNK) * m
+}
+
+/// Support-driven, item-major batched trial kernel over a materialized
+/// design (see the module docs). Lane `b`'s hidden signal is given by its
+/// distinct support `supports[bounds[b]..bounds[b+1]]`, so
+/// `bounds.len() == lanes + 1`.
+///
+/// Outputs:
+/// * `ys` — chunk-padded y plane: lane `b`'s `y_q` is
+///   `ys[(b / LANE_CHUNK) * m + q][b % LANE_CHUNK]`; padding lanes of the
+///   last chunk read zero. Length [`support_plane_rows`]`(lanes, m)`.
+/// * `psis` — lane-major Ψ, `lanes × n`.
+/// * `dstar` — the shared Δ* (first `n` slots).
+///
+/// Lane `b` is bit-identical to [`decode_sums_fused_batch`] (and so to
+/// [`crate::fused::decode_sums_fused`]) on the dense 0/1 signal of its
+/// support.
+///
+/// # Panics
+/// Panics if `bounds` is empty, not ascending, or does not end at
+/// `supports.len()`; if a support entry is `≥ n`; or if
+/// `ys.len() != support_plane_rows(lanes, m)`, `psis.len() != lanes*n` or
+/// `dstar.len() < n`.
+pub fn decode_sums_support_batch(
+    design: &CsrDesign,
+    supports: &[usize],
+    bounds: &[usize],
+    ys: &mut [[u64; LANE_CHUNK]],
+    psis: &mut [u64],
+    dstar: &mut [u64],
+) {
+    let (n, m) = (design.n(), design.m());
+    let lanes = bounds.len().checked_sub(1).expect("bounds must hold lanes + 1 offsets");
+    assert_eq!(bounds[lanes], supports.len(), "bounds must end at supports.len()");
+    assert_eq!(
+        ys.len(),
+        support_plane_rows(lanes, m),
+        "y plane must be ceil(lanes/LANE_CHUNK)*m rows"
+    );
+    assert_eq!(psis.len(), lanes * n, "psi plane must be lanes*n");
+    assert!(dstar.len() >= n, "dstar must have length n");
+    for (i, d) in dstar[..n].iter_mut().enumerate() {
+        *d = design.entry_row(i).0.len() as u64;
+    }
+    for chunk in 0..lanes.div_ceil(LANE_CHUNK) {
+        let lane0 = chunk * LANE_CHUNK;
+        let width = LANE_CHUNK.min(lanes - lane0);
+        let rows = &mut ys[chunk * m..(chunk + 1) * m];
+        // y = Aᵀσ for the chunk's lanes, straight from their supports.
+        rows.fill([0; LANE_CHUNK]);
+        for l in 0..width {
+            for &j in &supports[bounds[lane0 + l]..bounds[lane0 + l + 1]] {
+                assert!(j < n, "support entry {j} out of range for n = {n}");
+                let (qs, mults) = design.entry_row(j);
+                for (&q, &a) in qs.iter().zip(mults) {
+                    rows[q as usize][l] += a as u64;
+                }
+            }
+        }
+        // Ψ: one pass over the transpose gathers whole chunk rows.
+        let psis = &mut psis[lane0 * n..(lane0 + width) * n];
+        for i in 0..n {
+            let mut acc = [0u64; LANE_CHUNK];
+            for &q in design.entry_row(i).0 {
+                for (a, &v) in acc.iter_mut().zip(&rows[q as usize]) {
+                    *a += v;
+                }
+            }
+            for (l, &v) in acc[..width].iter().enumerate() {
+                psis[l * n + i] = v;
+            }
         }
     }
 }
@@ -224,6 +327,43 @@ mod tests {
                 (vec![0; lanes * m], vec![0; lanes * n], vec![0; n]);
             decode_sums_fused_batch(&design, &xs, lanes, &mut ys, &mut psis, &mut dstar);
             assert_eq!(ys, want_ys, "n={n} lanes={lanes}");
+            assert_eq!(psis, want_psis, "n={n} lanes={lanes}");
+            assert_eq!(dstar, want_dstar, "n={n} lanes={lanes}");
+        }
+    }
+
+    #[test]
+    fn support_batch_matches_dense_batch() {
+        // Lane counts straddle the chunk width; lane 2 has k = 0.
+        for (n, m, lanes, seed) in
+            [(200usize, 60usize, 11usize, 3u64), (64, 7, 8, 5), (90, 0, 3, 7)]
+        {
+            let design = CsrDesign::sample(n, m, n / 2, &SeedSequence::new(seed));
+            let mut xs = stack_lanes(n, lanes, seed);
+            xs[2 * n..3 * n].fill(0);
+            let (mut want_ys, mut want_psis, mut want_dstar) =
+                (vec![0; lanes * m], vec![0; lanes * n], vec![0; n]);
+            decode_sums_fused_batch(
+                &design,
+                &xs,
+                lanes,
+                &mut want_ys,
+                &mut want_psis,
+                &mut want_dstar,
+            );
+            let (mut supports, mut bounds) = (Vec::new(), vec![0]);
+            for lane in xs.chunks(n) {
+                supports.extend((0..n).filter(|&i| lane[i] == 1));
+                bounds.push(supports.len());
+            }
+            let mut ys = vec![[7u64; LANE_CHUNK]; support_plane_rows(lanes, m)];
+            let (mut psis, mut dstar) = (vec![7; lanes * n], vec![7; n]);
+            decode_sums_support_batch(&design, &supports, &bounds, &mut ys, &mut psis, &mut dstar);
+            for b in 0..lanes {
+                for q in 0..m {
+                    assert_eq!(ys[(b / LANE_CHUNK) * m + q][b % LANE_CHUNK], want_ys[b * m + q]);
+                }
+            }
             assert_eq!(psis, want_psis, "n={n} lanes={lanes}");
             assert_eq!(dstar, want_dstar, "n={n} lanes={lanes}");
         }

@@ -44,7 +44,8 @@ pub mod noreplace;
 pub mod streaming;
 
 pub use batched::{
-    decode_sums_fused_batch, decode_sums_fused_batch_stream, scatter_distinct_batch,
+    decode_sums_fused_batch, decode_sums_fused_batch_stream, decode_sums_support_batch,
+    scatter_distinct_batch, support_plane_rows, LANE_CHUNK,
 };
 pub use bernoulli::BernoulliDesign;
 pub use concentration::{check_concentration, ConcentrationReport};

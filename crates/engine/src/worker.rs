@@ -7,20 +7,30 @@
 //! truth. After warm-up at a stable job shape the MN paths perform zero
 //! heap allocations per job (pinned by `tests/alloc_free.rs`).
 //!
+//! Query execution is **support-driven**: an engine job is a synthetic
+//! instance whose lab measurement the worker simulates, so `y = Aᵀσ` is
+//! computed from the sorted hidden support over the design's transpose
+//! (`pooled_core::query::execute_queries_support_into`) — `O(k·Δ)`
+//! incidences instead of a sweep over all `nnz`. This is the simulation
+//! of the lab, not decoder input: the decoders still receive only `y`,
+//! which is bit-identical to what the dense `execute_queries_dense_into`
+//! computes (the reference the tests pin against).
+//!
 //! [`process_batch`] is the design-affinity fast path: a run of MN jobs
-//! sharing one cached design is served by **one** traversal of the design
-//! (`pooled_design::batched::decode_sums_fused_batch`) — query execution
-//! and Ψ accumulation for every lane while each CSR row is in cache, one
-//! shared Δ*, and one overlapped query-latency sleep — instead of
-//! re-streaming the CSR index arrays once per job. Every lane's result is
-//! bit-identical to [`process_job`] on that spec alone.
+//! sharing one cached design is served by the support-driven, item-major
+//! batch kernel (`pooled_core::batch::BatchWorkspace::accumulate_supports`)
+//! — every lane's `y` from its support into a query-major, lane-inner
+//! plane, then Ψ gathered item by item over the transpose for a whole
+//! chunk of lanes at once, one shared Δ* (`entry_row(i).len()`), and one
+//! overlapped query-latency sleep. Hits are scored against the sorted
+//! supports, so no dense truth plane exists on this path. Every lane's
+//! result is bit-identical to [`process_job`] on that spec alone.
 
 use std::time::Instant;
 
 use pooled_core::batch::BatchWorkspace;
 use pooled_core::mn::MnDecoder;
-use pooled_core::query::execute_queries_dense_into;
-use pooled_design::batched::decode_sums_fused_batch;
+use pooled_core::query::execute_queries_support_into;
 use pooled_design::factory::AnyDesign;
 use pooled_design::PoolingDesign;
 use pooled_rng::shuffle::sample_distinct_floyd_into;
@@ -36,13 +46,14 @@ pub struct WorkerScratch {
     worker: u32,
     /// Hidden-signal support, ascending.
     support: Vec<usize>,
-    /// Hidden signal, dense 0/1.
+    /// Hidden signal, dense 0/1 (the registry decoders score against it).
     truth: Vec<u8>,
     /// Additive query results.
     y: Vec<u64>,
-    /// Decoder scratch (MN workspace + threshold bits).
+    /// Decoder scratch (MN workspace + threshold bits); batched lanes are
+    /// finished in its MN workspace too.
     decode: DecodeScratch,
-    /// Batched-path planes (lane-major truths/ys + the batch workspace).
+    /// Batched-path planes (lane supports + the batch workspace).
     batch: BatchScratch,
 }
 
@@ -50,14 +61,14 @@ pub struct WorkerScratch {
 #[derive(Default)]
 struct BatchScratch {
     /// The widest run this worker may be handed (the engine's batch
-    /// window); planes are capacity-reserved for it on first use, so the
-    /// first maximal run after warm-up at a shape never allocates.
+    /// window); planes are capacity-reserved for it the first time a
+    /// shape is seen (see [`WorkerScratch::prepare_shape`]).
     window: usize,
-    /// Hidden signals, lane-major `lanes × n` dense 0/1.
-    truths: Vec<u8>,
-    /// Query results, lane-major `lanes × m`.
-    ys: Vec<u64>,
-    /// Ψ lanes + shared Δ* + per-lane finish scratch.
+    /// Every lane's hidden support (ascending), concatenated.
+    supports: Vec<usize>,
+    /// Lane `b`'s support is `supports[bounds[b]..bounds[b+1]]`.
+    bounds: Vec<usize>,
+    /// Ψ lanes + shared Δ* + y plane.
     bw: BatchWorkspace,
 }
 
@@ -87,6 +98,27 @@ impl WorkerScratch {
     /// The shard index.
     pub fn worker(&self) -> u32 {
         self.worker
+    }
+
+    /// Clear the per-job buffers of *both* serving paths and pre-size
+    /// them for `n`-entry, `m`-query jobs of weight up to `k`. Queue
+    /// timing decides whether a job arrives alone ([`process_job`]) or in
+    /// a run ([`process_batch`]), so whichever path sees a shape first
+    /// sizes the other's buffers too (the batch planes for the full
+    /// window), and after warm-up neither path allocates on its first use.
+    fn prepare_shape(&mut self, n: usize, m: usize, k: usize) {
+        self.truth.clear();
+        self.truth.reserve(n);
+        self.y.clear();
+        self.y.reserve(m);
+        let batch = &mut self.batch;
+        batch.supports.clear();
+        batch.bounds.clear();
+        if batch.window > 1 {
+            batch.bw.reserve(batch.window, n, m);
+            batch.supports.reserve(batch.window * k);
+            batch.bounds.reserve(batch.window + 1);
+        }
     }
 }
 
@@ -122,11 +154,11 @@ pub fn process_job_traced(
 ) -> JobResult {
     let started = Instant::now();
     let seeds = SeedSequence::new(spec.seed);
+    scratch.prepare_shape(design.n(), design.m(), spec.k);
 
     // 1. Draw the hidden weight-k signal into reusable buffers.
     let mut rng = seeds.child("signal", 0).rng();
     sample_distinct_floyd_into(spec.n, spec.k, &mut rng, &mut scratch.support);
-    scratch.truth.clear();
     scratch.truth.resize(spec.n, 0);
     for &i in &scratch.support {
         scratch.truth[i] = 1;
@@ -139,8 +171,9 @@ pub fn process_job_traced(
         std::thread::sleep(std::time::Duration::from_micros(spec.query_cost_micros as u64));
     }
 
-    // 3. Additive query results y = Aᵀσ.
-    execute_queries_dense_into(design, &scratch.truth, &mut scratch.y);
+    // 3. Additive query results y = Aᵀσ: the simulated lab measurement,
+    // from the support over the transpose.
+    execute_queries_support_into(design.csr(), &scratch.support, &mut scratch.y);
 
     // 4. Decode through the registry.
     if let Some((recorder, trace)) = tracing.as_mut() {
@@ -177,11 +210,11 @@ pub fn process_job_traced(
 }
 
 /// Serve a whole run of batch-compatible jobs (see [`batch_compatible`])
-/// against their shared design: one design traversal for every lane's
-/// query execution and Ψ accumulation, one shared Δ*, and one sleep for
-/// the batch's query latency (the simulated query executions overlap —
-/// they would run on parallel lab equipment — so the batch waits for the
-/// slowest lane, not the sum).
+/// against their shared design: one support-driven kernel call for every
+/// lane's query execution and Ψ accumulation, one shared Δ*, and one
+/// sleep for the batch's query latency (the simulated query executions
+/// overlap — they would run on parallel lab equipment — so the batch
+/// waits for the slowest lane, not the sum).
 ///
 /// Appends one [`JobResult`] per spec, in spec order. Deterministic:
 /// every lane's result fingerprint equals [`process_job`]'s for the same
@@ -204,27 +237,19 @@ pub fn process_batch(
     }
     let started = Instant::now();
     let csr = design.csr();
-    let (n, m) = (csr.n(), csr.m());
     let lanes = specs.len();
+    scratch.batch.window = scratch.batch.window.max(lanes);
+    let k_max = specs.iter().map(|s| s.k).max().unwrap_or(0);
+    scratch.prepare_shape(csr.n(), csr.m(), k_max);
     let batch = &mut scratch.batch;
 
-    // Reserve every plane for the widest run this worker can be handed
-    // at this shape: run lengths jitter with queue timing, so without
-    // this a first-ever maximal run after warm-up would allocate.
-    let window = batch.window.max(lanes);
-    batch.bw.reserve(window, n);
-
-    // 1. Draw every lane's hidden weight-k signal into the truth plane.
-    batch.truths.clear();
-    batch.truths.reserve(window * n);
-    batch.truths.resize(lanes * n, 0);
-    for (b, spec) in specs.iter().enumerate() {
+    // 1. Draw every lane's hidden weight-k support.
+    batch.bounds.push(0);
+    for spec in specs {
         let mut rng = SeedSequence::new(spec.seed).child("signal", 0).rng();
         sample_distinct_floyd_into(spec.n, spec.k, &mut rng, &mut scratch.support);
-        let lane = &mut batch.truths[b * n..(b + 1) * n];
-        for &i in &scratch.support {
-            lane[i] = 1;
-        }
+        batch.supports.extend_from_slice(&scratch.support);
+        batch.bounds.push(batch.supports.len());
     }
 
     // 2. One overlapped query-execution sleep for the whole batch.
@@ -233,27 +258,21 @@ pub fn process_batch(
         std::thread::sleep(std::time::Duration::from_micros(cost as u64));
     }
 
-    // 3. One traversal: every lane's y = Aᵀσ and Ψ, plus the shared Δ*.
+    // 3. Every lane's y = Aᵀσ and Ψ, plus the shared Δ*.
     let decode_started = Instant::now();
-    batch.ys.clear();
-    batch.ys.reserve(window * m);
-    batch.ys.resize(lanes * m, 0);
-    batch.bw.prepare(lanes, n);
-    {
-        let (psis, dstar) = batch.bw.sums_mut();
-        decode_sums_fused_batch(csr, &batch.truths, lanes, &mut batch.ys, psis, dstar);
-    }
+    batch.bw.accumulate_supports(csr, &batch.supports, &batch.bounds);
 
     // 4. Finish each lane with its own decoder weight and score it.
     let first = out.len();
     for (b, spec) in specs.iter().enumerate() {
-        let ws = batch.bw.finish_lane(&MnDecoder::new(spec.k), b);
+        let ws = &mut scratch.decode.ws;
+        MnDecoder::new(spec.k).finish_from_sums(batch.bw.lane_psi(b), batch.bw.dstar(), ws);
         let mut d = Digest::new();
         for &s in ws.scores() {
             d.push(s as u64);
         }
-        let truth = &batch.truths[b * n..(b + 1) * n];
-        let hits = ws.support().iter().filter(|&&i| truth[i] == 1).count() as u32;
+        let truth = &batch.supports[batch.bounds[b]..batch.bounds[b + 1]];
+        let hits = ws.support().iter().filter(|i| truth.binary_search(i).is_ok()).count() as u32;
         let weight = ws.support().len() as u32;
         out.push(JobResult {
             id: spec.id,
@@ -337,6 +356,75 @@ mod tests {
         let got: Vec<u64> = out.iter().map(|r| r.fingerprint()).collect();
         assert_eq!(got, want);
         assert!(out.iter().all(|r| r.worker == 1));
+    }
+
+    /// A job's fingerprint from the retained dense reference path only:
+    /// dense truth, `execute_queries_dense_into`, the registry decoder.
+    fn reference_fingerprint(spec: &JobSpec, design: &AnyDesign) -> u64 {
+        use pooled_core::query::execute_queries_dense_into;
+        let mut support = Vec::new();
+        let mut rng = SeedSequence::new(spec.seed).child("signal", 0).rng();
+        sample_distinct_floyd_into(spec.n, spec.k, &mut rng, &mut support);
+        let mut truth = vec![0u8; spec.n];
+        for &i in &support {
+            truth[i] = 1;
+        }
+        let mut y = Vec::new();
+        execute_queries_dense_into(design, &truth, &mut y);
+        let out = decoder(spec.decoder).decode(
+            design,
+            &y,
+            spec.k,
+            spec.seed,
+            &truth,
+            &mut DecodeScratch::new(),
+        );
+        JobResult {
+            id: spec.id,
+            decoder: spec.decoder,
+            exact: out.hits as usize == spec.k && out.weight as usize == spec.k,
+            hits: out.hits,
+            weight: out.weight,
+            support_digest: out.support_digest,
+            score_digest: out.score_digest,
+            decode_micros: 0,
+            queue_micros: 0,
+            total_micros: 0,
+            worker: 0,
+        }
+        .fingerprint()
+    }
+
+    #[test]
+    fn support_driven_serving_matches_the_dense_reference() {
+        use pooled_design::factory::DesignKind;
+        let mut ws = WorkerScratch::with_batch_window(0, 16);
+        // m = 300 decodes exactly; m = 40 is far below the threshold, so
+        // partial hits and wrong supports are pinned too.
+        for (kind, m) in DesignKind::ALL.into_iter().flat_map(|kind| [(kind, 300), (kind, 40)]) {
+            let specs: Vec<JobSpec> = (0..11)
+                .map(|seed| JobSpec {
+                    design: DesignSpec { kind, c_milli: 500, seed: 17 },
+                    k: [6, 9, 0][seed as usize % 3],
+                    m,
+                    ..spec(seed)
+                })
+                .collect();
+            let design = DesignKey::of(&specs[0]).sample();
+            let want: Vec<u64> = specs.iter().map(|s| reference_fingerprint(s, &design)).collect();
+            let mut out = Vec::new();
+            process_batch(&specs, &design, &mut ws, &mut out);
+            let got: Vec<u64> = out.iter().map(|r| r.fingerprint()).collect();
+            assert_eq!(got, want, "{kind:?} m={m} batch");
+            for decoder in [DecoderKind::Mn, DecoderKind::GeneralMn, DecoderKind::ThresholdMn] {
+                for s in specs.iter().filter(|s| s.k > 0) {
+                    let s = JobSpec { decoder, ..*s };
+                    let got = process_job(&s, &design, &mut ws).fingerprint();
+                    let want = reference_fingerprint(&s, &design);
+                    assert_eq!(got, want, "{kind:?} m={m} {decoder:?}");
+                }
+            }
+        }
     }
 
     #[test]

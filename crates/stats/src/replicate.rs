@@ -14,8 +14,12 @@
 //!   (`pooled_design::fused`) and an [`MnTrialWorkspace`].
 //! * [`run_mn_trials_batched`] — design-major batching: trials are
 //!   grouped into batches of `B` lanes that share one sampled design, so
-//!   a single traversal of the design serves all `B` decodes
-//!   (`pooled_design::batched`). With `B = 1` this is bit-identical to
+//!   one batched kernel call serves all `B` decodes
+//!   (`pooled_design::batched`): on a materialized design the same
+//!   support-driven, item-major kernel the serving engine runs
+//!   (`BatchWorkspace::accumulate_supports`), on a streaming design the
+//!   design-major kernel that regenerates each pool once per batch.
+//!   With `B = 1` this is bit-identical to
 //!   [`mn_trial_with`] trial by trial; with `B > 1` each batch draws one
 //!   design and `B` independent signals — still an unbiased estimate of
 //!   the success probability (which averages over design *and* signal),
@@ -140,18 +144,22 @@ pub fn mn_trial_with(
     }
 }
 
-/// Reusable planes for one batched-trial worker: lane-major signals and
-/// query results, the batch decode workspace, and the streaming-design
-/// pool scratch. Allocation-free after warm-up at a stable
+/// Reusable planes for one batched-trial worker: the lanes' supports, the
+/// batch decode workspace, and the streaming arm's lane-major signals,
+/// query results and pool scratch. Allocation-free after warm-up at a stable
 /// `(lanes, n, m)` shape (signal/design sampling still allocates, as in
 /// the single-trial path).
 #[derive(Default)]
 pub struct MnBatchTrialWorkspace {
-    /// Hidden signals, lane-major `lanes × n` dense 0/1.
+    /// Every lane's support, concatenated (materialized designs).
+    supports: Vec<usize>,
+    /// Lane `b`'s support is `supports[bounds[b]..bounds[b+1]]`.
+    bounds: Vec<usize>,
+    /// Hidden signals, lane-major `lanes × n` dense 0/1 (streaming designs).
     truths: Vec<u8>,
-    /// Query results, lane-major `lanes × m`.
+    /// Query results, lane-major `lanes × m` (streaming designs).
     ys: Vec<u64>,
-    /// Ψ lanes + shared Δ* + per-lane finish scratch.
+    /// Ψ lanes + shared Δ* + y plane + per-lane finish scratch.
     bw: BatchWorkspace,
     /// Streaming-design pool scratch (one regeneration per query serves
     /// every lane).
@@ -186,40 +194,45 @@ pub fn mn_trial_batch_with(
     use pooled_core::metrics::{exact_recovery_dense, overlap_fraction_dense};
     use pooled_core::mn::MnDecoder;
     use pooled_core::signal::Signal;
-    use pooled_design::batched::{decode_sums_fused_batch, decode_sums_fused_batch_stream};
+    use pooled_design::batched::decode_sums_fused_batch_stream;
     use pooled_design::multigraph::RandomRegularDesign;
 
     let design =
         RandomRegularDesign::sample(n, m, &master.child("trial", first as u64).child("design", 0));
-    ws.truths.clear();
-    ws.truths.resize(lanes * n, 0);
     ws.sigmas.clear();
     for b in 0..lanes {
         let seeds = master.child("trial", (first + b) as u64);
-        let sigma = Signal::random(n, k, &mut seeds.child("signal", 0).rng());
-        ws.truths[b * n..(b + 1) * n].copy_from_slice(sigma.dense());
-        ws.sigmas.push(sigma);
+        ws.sigmas.push(Signal::random(n, k, &mut seeds.child("signal", 0).rng()));
     }
-    ws.ys.clear();
-    ws.ys.resize(lanes * m, 0);
-    ws.bw.prepare(lanes, n);
-    {
-        let (psis, dstar) = ws.bw.sums_mut();
-        match &design {
-            RandomRegularDesign::Csr(csr) => {
-                decode_sums_fused_batch(csr, &ws.truths, lanes, &mut ws.ys, psis, dstar);
+    match &design {
+        RandomRegularDesign::Csr(csr) => {
+            ws.supports.clear();
+            ws.bounds.clear();
+            ws.bounds.push(0);
+            for sigma in &ws.sigmas {
+                ws.supports.extend_from_slice(sigma.support());
+                ws.bounds.push(ws.supports.len());
             }
-            RandomRegularDesign::Streaming(stream) => {
-                decode_sums_fused_batch_stream(
-                    stream,
-                    &ws.truths,
-                    lanes,
-                    &mut ws.ys,
-                    psis,
-                    dstar,
-                    &mut ws.pool,
-                );
+            ws.bw.accumulate_supports(csr, &ws.supports, &ws.bounds);
+        }
+        RandomRegularDesign::Streaming(stream) => {
+            ws.truths.clear();
+            for sigma in &ws.sigmas {
+                ws.truths.extend_from_slice(sigma.dense());
             }
+            ws.ys.clear();
+            ws.ys.resize(lanes * m, 0);
+            ws.bw.prepare(lanes, n);
+            let (psis, dstar) = ws.bw.sums_mut();
+            decode_sums_fused_batch_stream(
+                stream,
+                &ws.truths,
+                lanes,
+                &mut ws.ys,
+                psis,
+                dstar,
+                &mut ws.pool,
+            );
         }
     }
     let decoder = MnDecoder::new(k);

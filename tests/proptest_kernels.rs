@@ -11,8 +11,12 @@ use pooled_data::core::mn::MnDecoder;
 use pooled_data::core::mn_general::GeneralMnDecoder;
 use pooled_data::core::query::execute_queries;
 use pooled_data::core::workspace::MnWorkspace;
-use pooled_data::design::batched::{decode_sums_fused_batch, decode_sums_fused_batch_stream};
+use pooled_data::design::batched::{
+    decode_sums_fused_batch, decode_sums_fused_batch_stream, decode_sums_support_batch,
+    support_plane_rows, LANE_CHUNK,
+};
 use pooled_data::design::csr::CsrDesign;
+use pooled_data::design::factory::DesignKind;
 use pooled_data::design::fused::{
     decode_sums_fused, decode_sums_fused_stream, scatter_distinct_into, FusedArena,
 };
@@ -233,5 +237,51 @@ proptest! {
             prop_assert_eq!(&psis[b * n..(b + 1) * n], &psi[..], "lane {} psi", b);
             prop_assert_eq!(&dstar, &ds, "lane {} dstar", b);
         }
+    }
+
+    /// The support-driven, item-major kernel matches the design-major
+    /// dense batch kernel lane by lane — y, Ψ and the shared Δ* — for any
+    /// lane count (whole and partial lane chunks), lanes of weight 0, and
+    /// every design family through `AnyDesign::csr()` (the with-replacement
+    /// and configuration-model families carry multiplicities > 1).
+    #[test]
+    fn support_batch_kernel_matches_dense_batch_kernel(
+        lanes in 1usize..=32,
+        n in 4usize..160,
+        m in 1usize..40,
+        k in 0usize..12,
+        family in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        let seeds = SeedSequence::new(seed);
+        let design = DesignKind::ALL[family].sample(n, m, 0.5, &seeds.child("d", 0));
+        let csr = design.csr();
+        let (mut supports, mut bounds, mut xs) = (Vec::new(), vec![0], Vec::new());
+        for b in 0..lanes {
+            // Lane weights cycle k, 0, 1, …: every batch of ≥ 2 has k = 0.
+            let weight = ((k + b) % (k + 1)).min(n);
+            let sigma = Signal::random(n, weight, &mut seeds.child("s", b as u64).rng());
+            supports.extend_from_slice(sigma.support());
+            bounds.push(supports.len());
+            xs.extend_from_slice(sigma.dense());
+        }
+        let (mut want_ys, mut want_psis, mut want_dstar) =
+            (vec![0u64; lanes * m], vec![0u64; lanes * n], vec![0u64; n]);
+        decode_sums_fused_batch(csr, &xs, lanes, &mut want_ys, &mut want_psis, &mut want_dstar);
+        let mut ys = vec![[u64::MAX; LANE_CHUNK]; support_plane_rows(lanes, m)];
+        let (mut psis, mut dstar) = (vec![u64::MAX; lanes * n], vec![u64::MAX; n]);
+        decode_sums_support_batch(csr, &supports, &bounds, &mut ys, &mut psis, &mut dstar);
+        for b in 0..lanes.div_ceil(LANE_CHUNK) * LANE_CHUNK {
+            for q in 0..m {
+                let want = if b < lanes { want_ys[b * m + q] } else { 0 };
+                prop_assert_eq!(ys[(b / LANE_CHUNK) * m + q][b % LANE_CHUNK], want, "lane {} y", b);
+            }
+        }
+        for b in 0..lanes {
+            prop_assert_eq!(
+                &psis[b * n..(b + 1) * n], &want_psis[b * n..(b + 1) * n], "lane {} psi", b
+            );
+        }
+        prop_assert_eq!(dstar, want_dstar);
     }
 }
