@@ -10,8 +10,6 @@
 //! Sampling uses geometric gap skipping, so construction is `O(p·n)` per
 //! query instead of `O(n)` coin flips.
 
-use rayon::prelude::*;
-
 use pooled_rng::{Rng64, SeedSequence};
 
 use crate::csr::CsrDesign;
@@ -36,14 +34,11 @@ impl BernoulliDesign {
     pub fn sample(n: usize, m: usize, p: f64, seeds: &SeedSequence) -> Self {
         assert!(n > 0, "design needs at least one entry");
         assert!((0.0..=1.0).contains(&p), "membership probability p={p} outside [0,1]");
-        let pools: Vec<Vec<usize>> = (0..m)
-            .into_par_iter()
-            .map(|q| {
-                let mut rng = seeds.child("query", q as u64).rng();
-                sample_bernoulli_subset(n, p, &mut rng)
-            })
-            .collect();
-        Self { csr: CsrDesign::from_pools(n, &pools), p }
+        let csr = CsrDesign::from_draw_rows(n, m, |q| {
+            let mut rng = seeds.child("query", q as u64).rng();
+            sample_bernoulli_subset(n, p, &mut rng).into_iter().map(|e| e as u32)
+        });
+        Self { csr, p }
     }
 
     /// Wrap already-materialized CSR storage with its membership

@@ -46,21 +46,16 @@ impl EntryRegularDesign {
         }
         let mut rng = seeds.child("stubs", 0).rng();
         fisher_yates(&mut stubs, &mut rng);
-        // Deal into m near-equal pools.
-        let total = stubs.len();
-        let base = total / m;
-        let extra = total % m;
-        let mut pools: Vec<Vec<usize>> = Vec::with_capacity(m);
-        let mut pool_lens = Vec::with_capacity(m);
-        let mut at = 0usize;
-        for q in 0..m {
-            let len = base + usize::from(q < extra);
-            pools.push(stubs[at..at + len].iter().map(|&e| e as usize).collect());
-            pool_lens.push(len as u32);
-            at += len;
-        }
-        debug_assert_eq!(at, total);
-        Self { csr: CsrDesign::from_pools(n, &pools), delta, pool_lens }
+        // Deal into m near-equal pools: pool q is the stub run starting at
+        // q·base + min(q, extra).
+        let (base, extra) = (stubs.len() / m, stubs.len() % m);
+        let pool = |q: usize| {
+            let start = q * base + q.min(extra);
+            &stubs[start..start + base + usize::from(q < extra)]
+        };
+        let pool_lens = (0..m).map(|q| pool(q).len() as u32).collect();
+        let csr = CsrDesign::from_draw_rows(n, m, |q| pool(q).iter().copied());
+        Self { csr, delta, pool_lens }
     }
 
     /// Wrap already-materialized CSR storage with its per-entry degree

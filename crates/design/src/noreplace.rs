@@ -9,8 +9,6 @@
 //! concentrate slightly differently: `E[Δ*_i] = Γm/n = m/2` instead of
 //! `(1−e^{−1/2})m ≈ 0.39m`).
 
-use rayon::prelude::*;
-
 use pooled_rng::shuffle::sample_distinct_floyd;
 use pooled_rng::SeedSequence;
 
@@ -33,14 +31,11 @@ impl NoReplaceDesign {
     pub fn sample(n: usize, m: usize, gamma: usize, seeds: &SeedSequence) -> Self {
         assert!(n > 0, "design needs at least one entry");
         assert!(gamma <= n, "Γ={gamma} cannot exceed n={n} without replacement");
-        let pools: Vec<Vec<usize>> = (0..m)
-            .into_par_iter()
-            .map(|q| {
-                let mut rng = seeds.child("query", q as u64).rng();
-                sample_distinct_floyd(n, gamma, &mut rng)
-            })
-            .collect();
-        Self { csr: CsrDesign::from_pools(n, &pools) }
+        let csr = CsrDesign::from_draw_rows(n, m, |q| {
+            let mut rng = seeds.child("query", q as u64).rng();
+            sample_distinct_floyd(n, gamma, &mut rng).into_iter().map(|e| e as u32)
+        });
+        Self { csr }
     }
 
     /// Wrap already-materialized CSR storage (the durable tier's
@@ -49,7 +44,7 @@ impl NoReplaceDesign {
     /// without resampling). The caller guarantees the rows actually came
     /// from a without-replacement sample; this type adds no state beyond
     /// the CSR, so no invariant can be broken here that
-    /// [`CsrDesign::from_sorted_rle_rows`] did not already check.
+    /// [`CsrDesign::try_from_forward_rows`] did not already check.
     pub fn from_csr(csr: CsrDesign) -> Self {
         Self { csr }
     }

@@ -119,7 +119,9 @@ pub struct DesignCache {
     /// The durable tier's observer, if this cache is journaled: every
     /// admission and eviction is reported so a write-ahead log can
     /// reconstruct the live set after a crash
-    /// ([`crate::durability::WalJournal`]).
+    /// ([`crate::durability::WalJournal`]). Its mutex is also the
+    /// admission lock that keeps those reports in map order (see
+    /// `admit`).
     journal: Mutex<Option<Arc<dyn DesignJournal>>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -159,9 +161,16 @@ impl DesignCache {
     /// the record lands before the design serves), insert, and report
     /// whatever the insertion evicted. Returns the resident design —
     /// the existing one if another path admitted `key` first.
+    ///
+    /// The whole sequence runs under the journal lock, so the journal
+    /// sees admissions and evictions in exactly the order the map
+    /// applied them: an eviction can never be reported after a later
+    /// re-admission of the same key. Only admissions take that lock —
+    /// hits touch the map lock alone, which is held just for the
+    /// insert, never across journal I/O.
     fn admit(&self, key: &DesignKey, design: Arc<AnyDesign>) -> Arc<AnyDesign> {
-        let journal = self.journal.lock().expect("design journal poisoned").clone();
-        if let Some(j) = &journal {
+        let journal = self.journal.lock().expect("design journal poisoned");
+        if let Some(j) = &*journal {
             j.admitted(key, &design);
         }
         let (shared, evicted) = {
@@ -174,7 +183,7 @@ impl DesignCache {
                 }
             }
         };
-        if let (Some(j), Some((evicted_key, _))) = (&journal, &evicted) {
+        if let (Some(j), Some((evicted_key, _))) = (&*journal, &evicted) {
             j.evicted(evicted_key);
         }
         shared

@@ -67,9 +67,11 @@ impl DurabilityConfig {
     }
 }
 
-/// What the design cache tells the durable tier. Hooks are called
-/// outside the cache's map lock but inside the admission path, so
-/// implementations must be cheap or explicitly accept the latency.
+/// What the design cache tells the durable tier. Hooks are called in
+/// admission order under the cache's journal lock, which only
+/// admissions take — never under the map lock that hits take — so
+/// implementations must be cheap or explicitly accept the latency of
+/// serializing concurrent admissions.
 pub trait DesignJournal: Send + Sync {
     /// `key`'s design entered the cache.
     fn admitted(&self, key: &DesignKey, design: &AnyDesign);

@@ -115,45 +115,42 @@ fn snapshot_path(dir: &Path, key: &DesignKey) -> PathBuf {
     dir.join(snapshot_file_name(key))
 }
 
+/// The v1 bytes of `design` under `key` (see the module docs for the
+/// layout). The forward arrays are converted in bulk, one slice each.
+fn encode_design(key: &DesignKey, design: &AnyDesign) -> Vec<u8> {
+    let csr = design.csr();
+    let (offsets, entries, mults) = csr.forward_arrays();
+    let (n, m, gamma, nnz) = (csr.n(), csr.m(), csr.gamma(), csr.nnz());
+    let entries_at = FIXED_HEADER_LEN + 8 * (m + 1);
+    let mults_at = entries_at + 4 * nnz;
+    let body_len = mults_at + 4 * nnz;
+    let mut buf = vec![0u8; body_len + CHECKSUM_LEN];
+    buf[..4].copy_from_slice(&[SNAP_MAGIC, SNAP_VERSION, kind_code(key.kind), 0]);
+    buf[4..8].copy_from_slice(&key.c_milli.to_le_bytes());
+    for (at, v) in
+        [(8, n as u64), (16, m as u64), (24, key.seed), (32, gamma as u64), (40, nnz as u64)]
+    {
+        buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+    for (dst, v) in buf[FIXED_HEADER_LEN..entries_at].chunks_exact_mut(8).zip(offsets) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+    for (dst, v) in buf[entries_at..mults_at].chunks_exact_mut(4).zip(entries) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+    for (dst, v) in buf[mults_at..body_len].chunks_exact_mut(4).zip(mults) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+    let ck = checksum(&buf[..body_len]);
+    buf[body_len..].copy_from_slice(&ck.to_le_bytes());
+    buf
+}
+
 /// Serialize `design` under `key`'s name in `dir` (write-temp-rename).
 pub fn spill_design(dir: &Path, key: &DesignKey, design: &AnyDesign) -> io::Result<()> {
-    let csr = design.csr();
-    let (n, m, gamma, nnz) = (csr.n(), csr.m(), csr.gamma(), csr.nnz());
-    let mut buf = Vec::with_capacity(FIXED_HEADER_LEN + 8 * (m + 1) + 8 * nnz + CHECKSUM_LEN);
-    buf.push(SNAP_MAGIC);
-    buf.push(SNAP_VERSION);
-    buf.push(kind_code(key.kind));
-    buf.push(0); // reserved
-    buf.extend_from_slice(&key.c_milli.to_le_bytes());
-    buf.extend_from_slice(&(n as u64).to_le_bytes());
-    buf.extend_from_slice(&(m as u64).to_le_bytes());
-    buf.extend_from_slice(&key.seed.to_le_bytes());
-    buf.extend_from_slice(&(gamma as u64).to_le_bytes());
-    buf.extend_from_slice(&(nnz as u64).to_le_bytes());
-    let mut offset = 0u64;
-    let mut rows = Vec::with_capacity(m);
-    for q in 0..m {
-        let (entries, mults) = csr.query_row(q);
-        rows.push((entries, mults));
-        buf.extend_from_slice(&offset.to_le_bytes());
-        offset += entries.len() as u64;
-    }
-    buf.extend_from_slice(&offset.to_le_bytes());
-    for &(entries, _) in &rows {
-        for &e in entries {
-            buf.extend_from_slice(&e.to_le_bytes());
-        }
-    }
-    for &(_, mults) in &rows {
-        for &c in mults {
-            buf.extend_from_slice(&c.to_le_bytes());
-        }
-    }
-    let ck = checksum(&buf);
-    buf.extend_from_slice(&ck.to_le_bytes());
     let path = snapshot_path(dir, key);
     let tmp = path.with_extension("tmp");
-    fs::write(&tmp, &buf)?;
+    fs::write(&tmp, encode_design(key, design))?;
     fs::rename(&tmp, &path)
 }
 
@@ -166,10 +163,6 @@ pub fn remove_design(dir: &Path, key: &DesignKey) -> io::Result<()> {
     }
 }
 
-fn get_u32(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("bounds checked"))
-}
-
 fn get_u64(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().expect("bounds checked"))
 }
@@ -178,11 +171,21 @@ fn get_usize(bytes: &[u8], at: usize) -> Result<usize, SnapshotError> {
     usize::try_from(get_u64(bytes, at)).map_err(|_| SnapshotError::BadSize)
 }
 
+fn u64s(bytes: &[u8]) -> Vec<u64> {
+    bytes.chunks_exact(8).map(|w| u64::from_le_bytes(w.try_into().expect("8-byte word"))).collect()
+}
+
+fn u32s(bytes: &[u8]) -> Vec<u32> {
+    bytes.chunks_exact(4).map(|w| u32::from_le_bytes(w.try_into().expect("4-byte word"))).collect()
+}
+
 /// Parse snapshot `bytes` back into the design for `key`, verifying the
 /// checksum, the stored key fields, and every CSR invariant. The
 /// expected total size is computed from the header *before* any payload
 /// allocation, so a corrupt dimension field cannot trigger a huge
-/// allocation — the file's own length bounds everything.
+/// allocation — the file's own length bounds everything. The payload is
+/// converted in bulk and validated in one pass by
+/// [`CsrDesign::try_from_forward_rows`].
 pub fn decode_design(key: &DesignKey, bytes: &[u8]) -> Result<AnyDesign, SnapshotError> {
     if bytes.len() < FIXED_HEADER_LEN + CHECKSUM_LEN {
         return Err(SnapshotError::BadSize);
@@ -195,7 +198,7 @@ pub fn decode_design(key: &DesignKey, bytes: &[u8]) -> Result<AnyDesign, Snapsho
     }
     let kind =
         DesignKind::ALL.get(bytes[2] as usize).copied().ok_or(SnapshotError::BadKind(bytes[2]))?;
-    let c_milli = get_u32(bytes, 4);
+    let c_milli = u32::from_le_bytes(bytes[4..8].try_into().expect("bounds checked"));
     let n = get_usize(bytes, 8)?;
     let m = get_usize(bytes, 16)?;
     let seed = get_u64(bytes, 24);
@@ -209,44 +212,23 @@ pub fn decode_design(key: &DesignKey, bytes: &[u8]) -> Result<AnyDesign, Snapsho
     if bytes.len() != expected {
         return Err(SnapshotError::BadSize);
     }
-    let body = &bytes[..expected - CHECKSUM_LEN];
-    if checksum(body) != get_u64(bytes, expected - CHECKSUM_LEN) {
+    let body_len = expected - CHECKSUM_LEN;
+    if checksum(&bytes[..body_len]) != get_u64(bytes, body_len) {
         return Err(SnapshotError::BadChecksum);
     }
     if kind != key.kind || c_milli != key.c_milli || n != key.n || m != key.m || seed != key.seed {
         return Err(SnapshotError::KeyMismatch);
     }
-    if n == 0 {
-        return Err(SnapshotError::BadStructure);
-    }
-    let offsets_at = FIXED_HEADER_LEN;
-    let entries_at = offsets_at + 8 * (m + 1);
+    let entries_at = FIXED_HEADER_LEN + 8 * (m + 1);
     let mults_at = entries_at + 4 * nnz;
-    if get_u64(bytes, offsets_at) != 0 || get_u64(bytes, offsets_at + 8 * m) != nnz as u64 {
-        return Err(SnapshotError::BadStructure);
-    }
-    let mut rows = Vec::with_capacity(m);
-    let mut prev_end = 0usize;
-    for q in 0..m {
-        let end = get_usize(bytes, offsets_at + 8 * (q + 1))?;
-        if end < prev_end || end > nnz {
-            return Err(SnapshotError::BadStructure);
-        }
-        let mut row = Vec::with_capacity(end - prev_end);
-        let mut prev_entry = None;
-        for i in prev_end..end {
-            let e = get_u32(bytes, entries_at + 4 * i);
-            let c = get_u32(bytes, mults_at + 4 * i);
-            if e as usize >= n || c == 0 || prev_entry.is_some_and(|p| e <= p) {
-                return Err(SnapshotError::BadStructure);
-            }
-            prev_entry = Some(e);
-            row.push((e, c));
-        }
-        prev_end = end;
-        rows.push(row);
-    }
-    let csr = CsrDesign::from_sorted_rle_rows(n, gamma, rows);
+    let csr = CsrDesign::try_from_forward_rows(
+        n,
+        gamma,
+        u64s(&bytes[FIXED_HEADER_LEN..entries_at]),
+        u32s(&bytes[entries_at..mults_at]),
+        u32s(&bytes[mults_at..body_len]),
+    )
+    .map_err(|_| SnapshotError::BadStructure)?;
     let c = c_milli as f64 / 1000.0;
     Ok(match kind {
         DesignKind::RandomRegular => AnyDesign::RandomRegular(csr),

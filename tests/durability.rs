@@ -15,23 +15,31 @@
 //!    directory across a seed sweep, pinning the headline invariant:
 //!    recovery yields a correct prefix of the log or a clean error, and
 //!    the recovered node's fingerprints never diverge.
+//! 4. **Snapshot bytes and journal order** — a spilled snapshot is
+//!    byte-identical to a field-by-field v1 encoder and reloads both
+//!    orientations exactly; and the WAL records admissions and
+//!    evictions in the order the cache applied them, even when an
+//!    evicted key is re-admitted before its eviction is reported.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use proptest::prelude::*;
 
-use pooled_data::design::factory::DesignKind;
-use pooled_data::engine::cache::DesignKey;
+use pooled_data::design::factory::{AnyDesign, DesignKind};
+use pooled_data::design::PoolingDesign;
+use pooled_data::engine::cache::{DesignCache, DesignKey};
 use pooled_data::engine::durability::fault::StorageFault;
+use pooled_data::engine::durability::snapshot::{load_design, snapshot_file_name, spill_design};
 use pooled_data::engine::durability::wal::{
     decode_record, replay_dir, segment_paths, WalRecord, WalWriter,
 };
-use pooled_data::engine::durability::{recover, DurabilityConfig};
+use pooled_data::engine::durability::{recover, DesignJournal, DurabilityConfig, WalJournal};
 use pooled_data::engine::engine::{Engine, EngineConfig, EngineStats};
-use pooled_data::engine::job::{DecoderKind, JobResult};
+use pooled_data::engine::job::{DecoderKind, Digest, JobResult};
 use pooled_data::engine::telemetry::{Metric, MetricsRegistry};
 use pooled_data::engine::traffic::LoadProfile;
 
@@ -403,4 +411,150 @@ fn wal_and_recovery_counters_surface_in_the_expositions() {
     assert!(json.contains("\"pooled_recovery_records_replayed_total\":"));
     engine.shutdown();
     fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// The v1 snapshot layout, encoded field by field: the fixed header,
+/// `q_offsets` as u64 LE, entries then multiplicities as u32 LE, and the
+/// frame checksum (a digest of the body length and its LE words, the
+/// last one zero-padded) as the trailer.
+fn reference_snapshot_v1(key: &DesignKey, design: &AnyDesign) -> Vec<u8> {
+    let csr = design.csr();
+    let kind_code = DesignKind::ALL.iter().position(|&k| k == key.kind).unwrap() as u8;
+    let mut buf = vec![0xD7, 1, kind_code, 0];
+    buf.extend_from_slice(&key.c_milli.to_le_bytes());
+    for v in [csr.n() as u64, csr.m() as u64, key.seed, csr.gamma() as u64, csr.nnz() as u64] {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
+    let mut offset = 0u64;
+    buf.extend_from_slice(&offset.to_le_bytes());
+    for q in 0..csr.m() {
+        offset += csr.query_row(q).0.len() as u64;
+        buf.extend_from_slice(&offset.to_le_bytes());
+    }
+    for q in 0..csr.m() {
+        for &e in csr.query_row(q).0 {
+            buf.extend_from_slice(&e.to_le_bytes());
+        }
+    }
+    for q in 0..csr.m() {
+        for &c in csr.query_row(q).1 {
+            buf.extend_from_slice(&c.to_le_bytes());
+        }
+    }
+    let mut d = Digest::new();
+    d.push(buf.len() as u64);
+    for chunk in buf.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        d.push(u64::from_le_bytes(word));
+    }
+    buf.extend_from_slice(&d.finish().to_le_bytes());
+    buf
+}
+
+#[test]
+fn spilled_snapshots_are_the_v1_bytes_and_reload_both_orientations() {
+    let dir = scratch_dir("snap-v1-bytes");
+    for (i, &kind) in DesignKind::ALL.iter().enumerate() {
+        let key = DesignKey { n: 1000, m: 334, kind, c_milli: 500, seed: 90 + i as u64 };
+        let design = key.sample();
+        spill_design(&dir, &key, &design).unwrap();
+        let bytes = fs::read(dir.join(snapshot_file_name(&key))).unwrap();
+        assert!(bytes == reference_snapshot_v1(&key, &design), "{kind:?}: snapshot bytes differ");
+        let loaded = load_design(&dir, &key).unwrap().expect("snapshot present");
+        assert_eq!(loaded.kind(), kind);
+        let (a, b) = (design.csr(), loaded.csr());
+        assert_eq!((a.n(), a.m(), a.gamma()), (b.n(), b.m(), b.gamma()));
+        assert_eq!(a.forward_arrays(), b.forward_arrays(), "{kind:?} forward rows");
+        assert_eq!(a.transpose_arrays(), b.transpose_arrays(), "{kind:?} transpose");
+        for q in 0..a.m() {
+            assert_eq!(design.pool_len(q), loaded.pool_len(q), "{kind:?} pool {q}");
+        }
+    }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Wraps the live WAL journal and parks the first eviction of `parked`
+/// until `parked` has been admitted again, or a grace period passes.
+///
+/// A cache that journals in map order blocks the re-admission until
+/// this eviction report returns, so the park always ends at the grace
+/// period and the test's outcome does not depend on timing. A cache that
+/// reported evictions after dropping its locks would let the
+/// re-admission's `ADMIT` in first, ending the park early and leaving
+/// the stale `EVICT` last in the WAL.
+struct ParkingJournal {
+    wal: WalJournal,
+    parked: DesignKey,
+    /// `(admissions of parked, eviction of parked has started)`.
+    state: Mutex<(u32, bool)>,
+    changed: Condvar,
+}
+
+impl DesignJournal for ParkingJournal {
+    fn admitted(&self, key: &DesignKey, design: &AnyDesign) {
+        self.wal.admitted(key, design);
+        if *key == self.parked {
+            self.state.lock().unwrap().0 += 1;
+            self.changed.notify_all();
+        }
+    }
+
+    fn evicted(&self, key: &DesignKey) {
+        let mut state = self.state.lock().unwrap();
+        if *key == self.parked && !state.1 {
+            state.1 = true;
+            self.changed.notify_all();
+            let (_state, _timeout) = self
+                .changed
+                .wait_timeout_while(state, Duration::from_millis(300), |s| s.0 < 2)
+                .unwrap();
+        } else {
+            drop(state);
+        }
+        self.wal.evicted(key);
+    }
+}
+
+#[test]
+fn the_wal_journals_admissions_and_evictions_in_cache_order() {
+    let dir = scratch_dir("journal-order");
+    let config = DurabilityConfig::new(&dir);
+    let wal = WalJournal::open(&config, Arc::new(MetricsRegistry::new())).unwrap();
+    let (x, y) = (key(1), key(2));
+    let journal = Arc::new(ParkingJournal {
+        wal,
+        parked: y,
+        state: Mutex::new((0, false)),
+        changed: Condvar::new(),
+    });
+    let cache = Arc::new(DesignCache::new(1));
+    cache.set_journal(Arc::clone(&journal) as Arc<dyn DesignJournal>);
+    cache.get_or_sample(&y);
+    // Admitting x evicts y; the eviction report parks.
+    let evictor = {
+        let cache = Arc::clone(&cache);
+        std::thread::spawn(move || cache.get_or_sample(&x))
+    };
+    let state = journal.state.lock().unwrap();
+    drop(journal.changed.wait_while(state, |s| !s.1).unwrap());
+    // y misses again and is re-admitted while its eviction is pending.
+    let readmitter = {
+        let cache = Arc::clone(&cache);
+        std::thread::spawn(move || cache.get_or_sample(&y))
+    };
+    evictor.join().unwrap();
+    readmitter.join().unwrap();
+    let mut resident = cache.keys();
+    drop(cache);
+    drop(journal);
+
+    let rec = recover(&config, &MetricsRegistry::new()).unwrap();
+    let mut live = rec.keys.clone();
+    resident.sort_unstable_by_key(|k| k.seed);
+    live.sort_unstable_by_key(|k| k.seed);
+    assert_eq!(resident, vec![y]);
+    assert_eq!(live, resident, "the WAL's live set must be the cache's resident set");
+    assert_eq!(rec.snapshots_loaded, 1, "the resident design's snapshot must survive");
+    fs::remove_dir_all(&dir).unwrap();
 }
