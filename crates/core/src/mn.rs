@@ -21,7 +21,6 @@ use pooled_design::csr::CsrDesign;
 use pooled_design::fused::scatter_distinct_into;
 use pooled_design::{PoolingDesign, RandomRegularDesign};
 use pooled_par::sort::par_merge_sort_with;
-use pooled_par::topk::top_k_into;
 
 use crate::signal::Signal;
 use crate::workspace::MnWorkspace;
@@ -215,9 +214,7 @@ impl MnDecoder {
     /// Lines 7–9 of Algorithm 1 over `ws.scores`: selection + estimate.
     fn select_with(&self, n: usize, ws: &mut MnWorkspace) {
         match self.selection {
-            SelectionMethod::TopK => {
-                top_k_into(&ws.scores[..n], self.k, &mut ws.support, &mut ws.topk);
-            }
+            SelectionMethod::TopK => ws.select_top_k(self.k),
             SelectionMethod::FullSort => {
                 ws.order.clear();
                 ws.order.extend(ws.scores[..n].iter().enumerate().map(|(i, &s)| (s, i as u32)));
@@ -227,12 +224,8 @@ impl MnDecoder {
                 ws.order.truncate(self.k.min(n));
                 ws.support.clear();
                 ws.support.extend(ws.order.iter().map(|&(_, i)| i as usize));
+                ws.fill_estimate();
             }
-        }
-        let estimate = &mut ws.estimate[..n];
-        estimate.fill(0);
-        for &i in &ws.support {
-            estimate[i] = 1;
         }
     }
 }

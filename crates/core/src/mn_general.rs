@@ -15,10 +15,27 @@
 //! For the regular design (`|a_q| = Γ` constant) this is `n·Ψ_i − kΓ·Δ*_i =
 //! (n/2)·(2Ψ_i − k·Δ*_i)` at `Γ = n/2` — a positive multiple of the classic
 //! score, so the two decoders rank identically (property-tested).
+//!
+//! Two accumulation paths share one selection:
+//!
+//! * [`GeneralMnDecoder::decode_with`] works on any [`PoolingDesign`]
+//!   (streaming included) through two generic scatters — one of `y`, one
+//!   of the pool sizes. It is the reference the served path is pinned to.
+//! * [`GeneralMnDecoder::decode_csr_with`] gathers `Ψ_i` and
+//!   `Σ_{q ∈ ∂*x_i} |a_q|` in one pass over the CSR transpose, the way
+//!   `MnDecoder::decode_csr_with` serves the classic score.
+//!
+//! Selection is a partial `select_nth_unstable` on the exact `i128` keys
+//! `(score desc, index asc)` followed by a sort of the `k` winners only —
+//! the same winners in the same order as a full sort, since the key is a
+//! total order.
+
+use std::cmp::Reverse;
+
+use rayon::prelude::*;
 
 use pooled_design::fused::scatter_distinct_into;
-use pooled_design::PoolingDesign;
-use pooled_par::sort::par_merge_sort_with;
+use pooled_design::{CsrDesign, PoolingDesign};
 
 use crate::signal::Signal;
 use crate::workspace::MnWorkspace;
@@ -73,7 +90,9 @@ impl GeneralMnDecoder {
 
     /// Workspace decode: identical results to [`Self::decode`] with all
     /// buffers (including the exact `i128` scores, read back via
-    /// [`MnWorkspace::scores_wide`]) reused across calls.
+    /// [`MnWorkspace::scores_wide`]) reused across calls. Works on any
+    /// design; materialized ones are served faster by
+    /// [`Self::decode_csr_with`].
     ///
     /// # Panics
     /// Panics if `y.len() != design.m()`.
@@ -113,22 +132,73 @@ impl GeneralMnDecoder {
                 .zip(&ws.gamma_sums[..n])
                 .map(|(&p, &g)| n_i * p as i128 - k_i * g as i128),
         );
-        // Rank by (score desc, index asc); the general decoder keeps the
-        // faithful full sort (scores are i128, outside the top-k kernel's
-        // i64 domain).
-        ws.order_wide.clear();
-        ws.order_wide.extend(ws.scores_wide.iter().enumerate().map(|(i, &s)| (s, i as u32)));
-        par_merge_sort_with(&mut ws.order_wide, &mut ws.order_wide_scratch, |&(s, i)| {
-            (std::cmp::Reverse(s), i)
-        });
-        ws.order_wide.truncate(self.k.min(n));
-        ws.support.clear();
-        ws.support.extend(ws.order_wide.iter().map(|&(_, i)| i as usize));
-        let estimate = &mut ws.estimate[..n];
-        estimate.fill(0);
-        for &i in &ws.support {
-            estimate[i] = 1;
+        self.select_with(n, ws);
+    }
+
+    /// Transpose-gather decode over a materialized design: identical
+    /// results to [`Self::decode_with`] on the design `csr` stores, in one
+    /// entry-parallel pass over [`CsrDesign::entry_row`] instead of two
+    /// generic scatters.
+    ///
+    /// `pool_lens[q]` is the draw count `|a_q|` of query `q` (with
+    /// multiplicity) — the design family's `PoolingDesign::pool_len`, which
+    /// the CSR arrays alone do not carry (a family may report a nominal `Γ`
+    /// for every query). Each entry accumulates `Ψ_i = Σ y_q` and
+    /// `G_i = Σ |a_q|` over its distinct queries, and scores
+    /// `n·Ψ_i − k·G_i`. Allocation-free after warm-up.
+    ///
+    /// # Panics
+    /// Panics if `y.len()` or `pool_lens.len()` differs from `csr.m()`.
+    pub fn decode_csr_with(
+        &self,
+        csr: &CsrDesign,
+        pool_lens: &[u64],
+        y: &[u64],
+        ws: &mut MnWorkspace,
+    ) {
+        let (n, m) = (csr.n(), csr.m());
+        assert_eq!(y.len(), m, "result vector length must equal m");
+        assert_eq!(pool_lens.len(), m, "pool length vector must equal m");
+        ws.prepare(n);
+        ws.scores_wide.resize(n, 0);
+        let (n_i, k_i) = (n as i128, self.k as i128);
+        ws.psi[..n]
+            .par_iter_mut()
+            .zip(ws.dstar[..n].par_iter_mut())
+            .zip(ws.scores_wide.par_iter_mut())
+            .enumerate()
+            .for_each(|(i, ((psi, dstar), score))| {
+                let (qs, _) = csr.entry_row(i);
+                let (mut p, mut g) = (0u64, 0u64);
+                for &q in qs {
+                    p += y[q as usize];
+                    g += pool_lens[q as usize];
+                }
+                *psi = p;
+                *dstar = qs.len() as u64;
+                *score = n_i * p as i128 - k_i * g as i128;
+            });
+        self.select_with(n, ws);
+    }
+
+    /// Rank `ws.scores_wide` by `(score desc, index asc)` — a total order,
+    /// so the `k` winners and their order are unique — and write the
+    /// support (rank order) and the dense estimate. A partial selection
+    /// (`select_nth_unstable`) cuts the best `k`; only those are sorted.
+    fn select_with(&self, n: usize, ws: &mut MnWorkspace) {
+        let k = self.k.min(n);
+        let key = |&(s, i): &(i128, u32)| (Reverse(s), i);
+        let order = &mut ws.order_wide;
+        order.clear();
+        order.extend(ws.scores_wide.iter().enumerate().map(|(i, &s)| (s, i as u32)));
+        if 0 < k && k < n {
+            order.select_nth_unstable_by_key(k - 1, key);
         }
+        let top = &mut order[..k];
+        top.sort_unstable_by_key(key);
+        ws.support.clear();
+        ws.support.extend(top.iter().map(|&(_, i)| i as usize));
+        ws.fill_estimate();
     }
 }
 

@@ -15,7 +15,7 @@
 //! same allocation profile as before.
 
 use pooled_design::fused::FusedArena;
-use pooled_par::topk::TopKScratch;
+use pooled_par::topk::{top_k_into, TopKScratch};
 
 use crate::signal::Signal;
 
@@ -34,10 +34,9 @@ pub struct MnWorkspace {
     /// buffer, so repeated full sorts stay allocation-free).
     pub(crate) order: Vec<(i64, u32)>,
     pub(crate) order_scratch: Vec<(i64, u32)>,
-    /// Γ-general decoder: exact wide scores and their sort scratch.
+    /// Γ-general decoder: exact wide scores and their selection buffer.
     pub(crate) scores_wide: Vec<i128>,
     pub(crate) order_wide: Vec<(i128, u32)>,
-    pub(crate) order_wide_scratch: Vec<(i128, u32)>,
     pub(crate) pool_lens: Vec<u64>,
     pub(crate) gamma_sums: Vec<u64>,
     /// Secondary Δ* buffer for the Γ-sum accumulation (values discarded).
@@ -91,7 +90,9 @@ impl MnWorkspace {
         &self.dstar[..self.n]
     }
 
-    /// Integer scores `2Ψ_i − k·Δ*_i` of the last decode.
+    /// Integer scores of the last decode: `2Ψ_i − k·Δ*_i` for classic MN,
+    /// or whatever an external kernel wrote via [`Self::sums_scores_mut`]
+    /// (Threshold-MN's `m·Ψ⁺_i − P·Δ*_i`).
     pub fn scores(&self) -> &[i64] {
         &self.scores[..self.n]
     }
@@ -126,6 +127,32 @@ impl MnWorkspace {
     pub fn sums_mut(&mut self) -> (&mut [u64], &mut [u64], &mut FusedArena) {
         let n = self.n;
         (&mut self.psi[..n], &mut self.dstar[..n], &mut self.arena)
+    }
+
+    /// Mutable access to `(psi, dstar, scores)` for external kernels that
+    /// compute their own `i64` scores and then call [`Self::select_top_k`].
+    /// Call [`Self::prepare`] first.
+    pub fn sums_scores_mut(&mut self) -> (&mut [u64], &mut [u64], &mut [i64]) {
+        let n = self.n;
+        (&mut self.psi[..n], &mut self.dstar[..n], &mut self.scores[..n])
+    }
+
+    /// Keep the `k` best of [`Self::scores`] under `(score desc, index asc)`
+    /// in [`Self::support`] (ranking order) and the dense estimate — lines
+    /// 7–9 of Algorithm 1 on the top-k selection kernel. Allocation-free
+    /// after warm-up with one worker installed.
+    pub fn select_top_k(&mut self, k: usize) {
+        top_k_into(&self.scores[..self.n], k, &mut self.support, &mut self.topk);
+        self.fill_estimate();
+    }
+
+    /// Rewrite the dense estimate from [`Self::support`].
+    pub(crate) fn fill_estimate(&mut self) {
+        let estimate = &mut self.estimate[..self.n];
+        estimate.fill(0);
+        for &i in &self.support {
+            estimate[i] = 1;
+        }
     }
 
     /// Move the selected support out into a [`Signal`] — the shared tail of

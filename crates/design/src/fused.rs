@@ -307,6 +307,15 @@ mod tests {
         (y, psi, dstar)
     }
 
+    /// Ψ/Δ* over the CSR transpose: a reference independent of every
+    /// scatter kernel (`scatter_distinct_u64` itself runs
+    /// `scatter_distinct_into`).
+    fn gathered(design: &CsrDesign, w: &[u64]) -> (Vec<u64>, Vec<u64>) {
+        let (mut psi, mut dstar) = (vec![0u64; design.n()], vec![0u64; design.n()]);
+        design.gather_distinct_into(w, &mut psi, &mut dstar);
+        (psi, dstar)
+    }
+
     #[test]
     fn fused_csr_matches_two_pass_composition() {
         for (n, m, gamma, seed) in
@@ -352,7 +361,8 @@ mod tests {
     fn scatter_into_matches_allocating_scatter() {
         let design = CsrDesign::sample(400, 120, 200, &SeedSequence::new(13));
         let w: Vec<u64> = (0..design.m() as u64).map(|q| 3 * q + 1).collect();
-        let (want_psi, want_dstar) = scatter_distinct_u64(&design, &w);
+        let (want_psi, want_dstar) = gathered(&design, &w);
+        assert_eq!(scatter_distinct_u64(&design, &w), (want_psi.clone(), want_dstar.clone()));
         let mut arena = FusedArena::new();
         let mut psi = vec![0u64; design.n()];
         let mut dstar = vec![0u64; design.n()];
@@ -367,7 +377,7 @@ mod tests {
         // the result must be identical anyway.
         let design = CsrDesign::sample(50_000, 40, 8, &SeedSequence::new(17));
         let w: Vec<u64> = (0..design.m() as u64).map(|q| q + 1).collect();
-        let (want_psi, want_dstar) = scatter_distinct_u64(&design, &w);
+        let (want_psi, want_dstar) = gathered(&design, &w);
         let mut arena = FusedArena::new();
         let mut psi = vec![0u64; design.n()];
         let mut dstar = vec![0u64; design.n()];

@@ -10,17 +10,17 @@
 //!
 //! | kernel | entry point | parallelism | atomics | passes over design | allocation |
 //! |---|---|---|---|---|---|
-//! | scatter (atomic) | [`scatter_distinct_u64`] | query-parallel | yes | 1 (+1 for `y`) | per call |
-//! | scatter (blocked) | [`crate::fused::scatter_distinct_into`] | query-parallel, privatized | no | 1 (+1 for `y`) | arena, reused |
+//! | scatter (allocating) | [`scatter_distinct_u64`] | as `scatter_distinct_into` | as `scatter_distinct_into` | 1 (+1 for `y`) | per call |
+//! | scatter (direct / blocked / atomic) | [`crate::fused::scatter_distinct_into`] | query-parallel, privatized or atomic by density | only when sparse | 1 (+1 for `y`) | arena, reused |
 //! | gather | [`crate::csr::CsrDesign::gather_distinct_into`] | entry-parallel over transpose | no | 1 (+1 for `y`) | none |
 //! | fused | [`crate::fused::decode_sums_fused`] | query-parallel, privatized | no | **1 total** (`y`, Ψ, Δ*) | arena, reused |
 //! | batched | [`crate::batched::decode_sums_fused_batch`] | sequential per batch (callers parallelize across batches/shards) | no | **1 total for B jobs** | planes, reused |
 //!
-//! Trade-offs: atomic scatter works on *any* [`PoolingDesign`] (including
-//! streaming) with zero extra memory but serializes on hot slots; blocked
-//! scatter privatizes per-worker planes (`t·n` words) and wins once the
-//! update density `m·Γ/n` clears `pooled_par::blocked::choose_scatter`'s
-//! threshold; gather needs the materialized CSR transpose but is contention
+//! Trade-offs: scatter works on *any* [`PoolingDesign`] (including
+//! streaming); one worker adds directly, several either privatize
+//! per-worker planes (`t·n` words) or, below
+//! `pooled_par::blocked::choose_scatter`'s update density `m·Γ/n`, use
+//! atomic adds that need no extra memory but serialize on hot slots; gather needs the materialized CSR transpose but is contention
 //! free by construction; the fused kernel is the Monte-Carlo hot path —
 //! one traversal produces all three vectors into reusable buffers
 //! (streaming variant regenerates each query's pool once instead of twice).
@@ -29,8 +29,7 @@
 
 use rayon::prelude::*;
 
-use pooled_par::scatter::AtomicCounters;
-
+use crate::fused::{scatter_distinct_into, FusedArena};
 use crate::PoolingDesign;
 
 /// Query sums with multiplicity: `out[q] = Σ_draws x[i]` (i.e. `Aᵀx`).
@@ -70,22 +69,17 @@ pub fn pool_sums_f64<D: PoolingDesign + ?Sized>(design: &D, x: &[f64]) -> Vec<f6
 /// Scatter-based distinct accumulation:
 /// `psi[i] = Σ_{q ∋ i} w[q]` (distinct incidence) and `dstar[i] = |∂*x_i|`.
 ///
-/// Atomic relaxed adds; identical output to the CSR gather path.
+/// The allocating form of [`scatter_distinct_into`] on a fresh arena: the
+/// direct / blocked / atomic kernel is chosen by the density rule, so a
+/// single worker never pays for atomics. Identical output to the CSR
+/// gather path.
 pub fn scatter_distinct_u64<D: PoolingDesign + ?Sized>(
     design: &D,
     w: &[u64],
 ) -> (Vec<u64>, Vec<u64>) {
-    assert_eq!(w.len(), design.m(), "weight vector must have length m");
-    let psi = AtomicCounters::new(design.n());
-    let dstar = AtomicCounters::new(design.n());
-    (0..design.m()).into_par_iter().for_each(|q| {
-        let wq = w[q];
-        design.for_each_distinct(q, &mut |e, _| {
-            psi.add(e, wq);
-            dstar.incr(e);
-        });
-    });
-    (psi.into_vec(), dstar.into_vec())
+    let (mut psi, mut dstar) = (vec![0u64; design.n()], vec![0u64; design.n()]);
+    scatter_distinct_into(design, w, &mut psi, &mut dstar, &mut FusedArena::new());
+    (psi, dstar)
 }
 
 /// Entry-major spread of query weights *with* multiplicity:

@@ -2,11 +2,13 @@
 //! serve, behind one trait object.
 //!
 //! [`decoder`] maps a [`DecoderKind`] to a `&'static dyn EngineDecoder`.
-//! The hot decoders (classic MN, Γ-general MN) route through PR 1's
-//! workspace entry points and are **allocation-free** after warm-up; the
-//! channel-transfer and baseline decoders reuse their crates' one-shot
-//! APIs (they allocate, and the registry documents that — they exist for
-//! comparative traffic, not the hot path).
+//! The three served MN-family decoders (classic MN, Γ-general MN and
+//! Threshold-MN) are transpose gathers: each scores every entry in one
+//! pass over its row of the design's CSR transpose
+//! (`CsrDesign::entry_row`) into the per-worker [`MnWorkspace`], and all
+//! three are **allocation-free** after warm-up. The baseline decoders
+//! reuse their crates' one-shot APIs (they allocate, and the registry
+//! documents that — they exist for comparative traffic, not the hot path).
 //!
 //! A decoder's contract: given the design, the additive query results
 //! `y`, the target weight `k` and the hidden truth (engine jobs are
@@ -28,14 +30,16 @@ use pooled_threshold::decoder::ThresholdMnDecoder;
 
 use crate::job::{digest_support, DecoderKind, Digest};
 
-/// Per-worker scratch shared by every decoder: the PR 1 workspace plus a
-/// bit buffer for the threshold channel.
+/// Per-worker scratch shared by every decoder: the MN workspace plus the
+/// small per-job buffers of the Γ-general and threshold decoders.
 #[derive(Default)]
 pub struct DecodeScratch {
     /// Reusable MN decode workspace (buffers grow once per shape).
     pub ws: MnWorkspace,
-    /// Threshold-channel bit buffer.
-    pub bits: Vec<u8>,
+    /// Per-query draw counts `|a_q|` (Γ-general centering).
+    pool_lens: Vec<u64>,
+    /// Threshold-MN winners in ascending order (the digest order).
+    ascending: Vec<usize>,
 }
 
 impl DecodeScratch {
@@ -137,7 +141,10 @@ impl EngineDecoder for MnEngine {
     }
 }
 
-/// Γ-general MN through the workspace path (allocation-free).
+/// Γ-general MN through the transpose gather (allocation-free). The
+/// per-query pool sizes come from the design family (`pool_len`): `m`
+/// dispatches, which keep Bernoulli's random sizes and every other
+/// family's `Γ` exact.
 struct GeneralMnEngine;
 
 impl EngineDecoder for GeneralMnEngine {
@@ -158,7 +165,14 @@ impl EngineDecoder for GeneralMnEngine {
         truth: &[u8],
         scratch: &mut DecodeScratch,
     ) -> DecodeOutcome {
-        GeneralMnDecoder::new(k).decode_with(design, y, &mut scratch.ws);
+        scratch.pool_lens.clear();
+        scratch.pool_lens.extend((0..design.m()).map(|q| design.pool_len(q) as u64));
+        GeneralMnDecoder::new(k).decode_csr_with(
+            design.csr(),
+            &scratch.pool_lens,
+            y,
+            &mut scratch.ws,
+        );
         let mut d = Digest::new();
         for &s in scratch.ws.scores_wide() {
             d.push_i128(s);
@@ -169,12 +183,17 @@ impl EngineDecoder for GeneralMnEngine {
 
 /// Threshold-MN on the median-threshold one-bit channel: the additive
 /// results are collapsed to `y_q ≥ t` with `t = max(1, round(Γ·k/n))`
-/// (the null mean, so bits split near 50/50) before decoding.
+/// (the null mean, so bits split near 50/50) inside the transpose gather
+/// (allocation-free).
 struct ThresholdMnEngine;
 
 impl EngineDecoder for ThresholdMnEngine {
     fn name(&self) -> &'static str {
         "threshold_mn"
+    }
+
+    fn alloc_free(&self) -> bool {
+        true
     }
 
     fn decode(
@@ -188,14 +207,17 @@ impl EngineDecoder for ThresholdMnEngine {
     ) -> DecodeOutcome {
         let n = design.n() as u64;
         let t = ((design.gamma() as u64 * k as u64 + n / 2) / n).max(1);
-        scratch.bits.clear();
-        scratch.bits.extend(y.iter().map(|&v| (v >= t) as u8));
-        let out = ThresholdMnDecoder::new(k).decode(design, &scratch.bits);
+        ThresholdMnDecoder::new(k).decode_csr_with(design.csr(), y, t, &mut scratch.ws);
         let mut d = Digest::new();
-        for &s in &out.scores {
+        for &s in scratch.ws.scores() {
             d.push(s as u64);
         }
-        outcome(out.estimate.support(), d.finish(), truth)
+        // The support digest is over the ascending support (the order of
+        // `Signal::support`), not the ranking order of the selection.
+        scratch.ascending.clear();
+        scratch.ascending.extend_from_slice(scratch.ws.support());
+        scratch.ascending.sort_unstable();
+        outcome(&scratch.ascending, d.finish(), truth)
     }
 }
 

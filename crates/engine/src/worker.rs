@@ -50,7 +50,7 @@ pub struct WorkerScratch {
     truth: Vec<u8>,
     /// Additive query results.
     y: Vec<u64>,
-    /// Decoder scratch (MN workspace + threshold bits); batched lanes are
+    /// Decoder scratch (MN workspace + per-job decoder buffers); batched lanes are
     /// finished in its MN workspace too.
     decode: DecodeScratch,
     /// Batched-path planes (lane supports + the batch workspace).
@@ -358,10 +358,23 @@ mod tests {
         assert!(out.iter().all(|r| r.worker == 1));
     }
 
-    /// A job's fingerprint from the retained dense reference path only:
-    /// dense truth, `execute_queries_dense_into`, the registry decoder.
+    /// Indices of the `k` best `scores` under `(score desc, index asc)`,
+    /// by a full sort — the selection reference for the ranked digests.
+    fn ranked<S: Ord + Copy>(scores: &[S], k: usize) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..scores.len()).collect();
+        order.sort_by_key(|&i| (std::cmp::Reverse(scores[i]), i));
+        order.truncate(k);
+        order
+    }
+
+    /// A job's fingerprint from the retained reference paths only: dense
+    /// truth, `execute_queries_dense_into`, the one-shot decoders over the
+    /// generic `PoolingDesign` scatter and a full-sort ranking — none of
+    /// the transpose-gather kernels or selections the registry serves.
     fn reference_fingerprint(spec: &JobSpec, design: &AnyDesign) -> u64 {
+        use pooled_core::mn_general::GeneralMnDecoder;
         use pooled_core::query::execute_queries_dense_into;
+        use pooled_threshold::decoder::ThresholdMnDecoder;
         let mut support = Vec::new();
         let mut rng = SeedSequence::new(spec.seed).child("signal", 0).rng();
         sample_distinct_floyd_into(spec.n, spec.k, &mut rng, &mut support);
@@ -371,22 +384,40 @@ mod tests {
         }
         let mut y = Vec::new();
         execute_queries_dense_into(design, &truth, &mut y);
-        let out = decoder(spec.decoder).decode(
-            design,
-            &y,
-            spec.k,
-            spec.seed,
-            &truth,
-            &mut DecodeScratch::new(),
-        );
+        let k = spec.k;
+        let mut scores = Digest::new();
+        let chosen = match spec.decoder {
+            DecoderKind::Mn => {
+                let out = MnDecoder::new(k).decode(design, &y);
+                out.scores.iter().for_each(|&s| scores.push(s as u64));
+                ranked(&out.scores, k)
+            }
+            DecoderKind::GeneralMn => {
+                let out = GeneralMnDecoder::new(k).decode(design, &y);
+                out.scores.iter().for_each(|&s| scores.push_i128(s));
+                ranked(&out.scores, k)
+            }
+            DecoderKind::ThresholdMn => {
+                // The median-threshold channel: t = max(1, round(Γ·k/n)).
+                let n = spec.n as u64;
+                let t = ((design.gamma() as u64 * k as u64 + n / 2) / n).max(1);
+                let bits: Vec<u8> = y.iter().map(|&v| u8::from(v >= t)).collect();
+                let out = ThresholdMnDecoder::new(k).decode(design, &bits);
+                out.scores.iter().for_each(|&s| scores.push(s as u64));
+                out.estimate.support().to_vec()
+            }
+            other => panic!("no reference for {other:?}"),
+        };
+        let hits = chosen.iter().filter(|&&i| truth[i] == 1).count() as u32;
+        let weight = chosen.len() as u32;
         JobResult {
             id: spec.id,
             decoder: spec.decoder,
-            exact: out.hits as usize == spec.k && out.weight as usize == spec.k,
-            hits: out.hits,
-            weight: out.weight,
-            support_digest: out.support_digest,
-            score_digest: out.score_digest,
+            exact: hits as usize == k && weight as usize == k,
+            hits,
+            weight,
+            support_digest: crate::job::digest_support(&chosen),
+            score_digest: scores.finish(),
             decode_micros: 0,
             queue_micros: 0,
             total_micros: 0,
@@ -417,7 +448,7 @@ mod tests {
             let got: Vec<u64> = out.iter().map(|r| r.fingerprint()).collect();
             assert_eq!(got, want, "{kind:?} m={m} batch");
             for decoder in [DecoderKind::Mn, DecoderKind::GeneralMn, DecoderKind::ThresholdMn] {
-                for s in specs.iter().filter(|s| s.k > 0) {
+                for s in &specs {
                     let s = JobSpec { decoder, ..*s };
                     let got = process_job(&s, &design, &mut ws).fingerprint();
                     let want = reference_fingerprint(&s, &design);

@@ -13,10 +13,22 @@
 //! `score_i = m·Ψ⁺_i − P·Δ*_i` where `P = Σ_q bit_q` (subtracting the
 //! global positive rate removes the common drift, and cross-multiplying by
 //! `m` clears the fraction), so ranking has no float ties.
+//!
+//! Two entry points compute the same scores and winners:
+//!
+//! * [`ThresholdMnDecoder::decode`] takes the bits and scatters them over
+//!   any [`PoolingDesign`] (streaming included); it is the reference.
+//! * [`ThresholdMnDecoder::decode_csr_with`] takes the additive results
+//!   and the threshold, and gathers `Ψ⁺_i` and `Δ*_i` in one pass over the
+//!   CSR transpose into a reusable [`MnWorkspace`] — the serving path,
+//!   allocation-free after warm-up.
 
+use rayon::prelude::*;
+
+use pooled_core::workspace::MnWorkspace;
 use pooled_core::Signal;
 use pooled_design::matvec::scatter_distinct_u64;
-use pooled_design::PoolingDesign;
+use pooled_design::{CsrDesign, PoolingDesign};
 use pooled_par::topk::top_k_indices;
 
 /// Decoder configuration: the target support size.
@@ -77,6 +89,40 @@ impl ThresholdMnDecoder {
             psi_pos,
             delta_star,
         }
+    }
+
+    /// Transpose-gather decode of the threshold bits `y_q ≥ t`: the same
+    /// scores and winners as [`Self::decode`] on those bits, written into
+    /// `ws` — `Ψ⁺_i` in [`MnWorkspace::psi`], `Δ*_i` in
+    /// [`MnWorkspace::delta_star`], the scores in [`MnWorkspace::scores`]
+    /// and the winners in [`MnWorkspace::support`] (ranking order; sort
+    /// them for the ascending [`Signal::support`] order of [`Self::decode`]).
+    ///
+    /// One entry-parallel pass over [`CsrDesign::entry_row`]; no per-call
+    /// allocation after warm-up.
+    ///
+    /// # Panics
+    /// Panics if `y.len() != csr.m()`.
+    pub fn decode_csr_with(&self, csr: &CsrDesign, y: &[u64], t: u64, ws: &mut MnWorkspace) {
+        let (n, m) = (csr.n(), csr.m());
+        assert_eq!(y.len(), m, "result vector length must equal m");
+        let positives = y.iter().filter(|&&v| v >= t).count() as i64;
+        let m_i = m as i64;
+        ws.prepare(n);
+        let (psi_pos, delta_star, scores) = ws.sums_scores_mut();
+        psi_pos
+            .par_iter_mut()
+            .zip(delta_star.par_iter_mut())
+            .zip(scores.par_iter_mut())
+            .enumerate()
+            .for_each(|(i, ((p, d), score))| {
+                let (qs, _) = csr.entry_row(i);
+                let pos = qs.iter().filter(|&&q| y[q as usize] >= t).count() as i64;
+                *p = pos as u64;
+                *d = qs.len() as u64;
+                *score = m_i * pos - positives * qs.len() as i64;
+            });
+        ws.select_top_k(self.k);
     }
 }
 

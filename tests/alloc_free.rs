@@ -175,7 +175,7 @@ fn engine_steady_state_serving_is_allocation_free_after_warmup() {
     // degrade from allocator pressure.
     let profile = LoadProfile {
         distinct_designs: 1,
-        decoders: vec![DecoderKind::Mn, DecoderKind::GeneralMn],
+        decoders: vec![DecoderKind::Mn, DecoderKind::GeneralMn, DecoderKind::ThresholdMn],
         query_cost: None,
         ..LoadProfile::default_mix(2000, 9, 300, 77)
     };
@@ -189,8 +189,8 @@ fn engine_steady_state_serving_is_allocation_free_after_warmup() {
     let specs = profile.specs(24);
     let mut results = Vec::with_capacity(256);
 
-    // Warm-up: several passes so *both* workers have served both decoder
-    // kinds at this shape (work stealing is nondeterministic, so one pass
+    // Warm-up: several passes so *both* workers have served every decoder
+    // kind at this shape (work stealing is nondeterministic, so one pass
     // is not a guarantee) and every queue/scratch buffer has grown.
     for _ in 0..6 {
         results.clear();
@@ -329,10 +329,11 @@ fn support_batch_runs_are_allocation_free_at_any_width() {
 #[test]
 fn support_driven_process_job_is_allocation_free_after_warmup() {
     // Per-job serving executes queries from the hidden support over the
-    // design's transpose; with both allocation-free decoders it performs
-    // zero heap allocations per job once the scratch has grown.
+    // design's transpose; with the three allocation-free transpose-gather
+    // decoders it performs zero heap allocations per job once the scratch
+    // has grown.
     let profile = LoadProfile {
-        decoders: vec![DecoderKind::Mn, DecoderKind::GeneralMn],
+        decoders: vec![DecoderKind::Mn, DecoderKind::GeneralMn, DecoderKind::ThresholdMn],
         query_cost: None,
         ..LoadProfile::default_mix(1000, 8, 334, 82)
     };
@@ -406,7 +407,7 @@ fn full_tracing_engine_serving_is_allocation_free_after_warmup() {
 
     let profile = LoadProfile {
         distinct_designs: 1,
-        decoders: vec![DecoderKind::Mn, DecoderKind::GeneralMn],
+        decoders: vec![DecoderKind::Mn, DecoderKind::GeneralMn, DecoderKind::ThresholdMn],
         query_cost: None,
         ..LoadProfile::default_mix(2000, 9, 300, 79)
     };
@@ -423,8 +424,8 @@ fn full_tracing_engine_serving_is_allocation_free_after_warmup() {
     let specs = profile.specs(24);
     let mut results = Vec::with_capacity(256);
 
-    // Warm-up: same regime as the untraced test — both workers, both
-    // decoder kinds, every ring and scratch buffer at final shape.
+    // Warm-up: same regime as the untraced test — both workers, every
+    // decoder kind, every ring and scratch buffer at final shape.
     for _ in 0..6 {
         results.clear();
         engine.run_batch(&specs, &mut results);

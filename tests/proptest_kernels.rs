@@ -16,20 +16,102 @@ use pooled_data::design::batched::{
     support_plane_rows, LANE_CHUNK,
 };
 use pooled_data::design::csr::CsrDesign;
-use pooled_data::design::factory::DesignKind;
+use pooled_data::design::factory::{AnyDesign, DesignKind};
 use pooled_data::design::fused::{
     decode_sums_fused, decode_sums_fused_stream, scatter_distinct_into, FusedArena,
 };
 use pooled_data::design::matvec::{pool_sums_u64, scatter_distinct_u64};
 use pooled_data::design::StreamingDesign;
+use pooled_data::design::{BernoulliDesign, EntryRegularDesign, NoReplaceDesign};
+use pooled_data::engine::job::{digest_support, DecoderKind, Digest};
+use pooled_data::engine::registry::{decoder, DecodeOutcome, DecodeScratch};
 use pooled_data::par::blocked::BlockedScatter;
+use pooled_data::par::pool::pool_with_threads;
 use pooled_data::par::scatter::AtomicCounters;
 use pooled_data::prelude::*;
+use pooled_data::threshold::ThresholdMnDecoder;
 
 /// A dense 0/1 `u64` signal derived from a seeded `Signal`.
 fn dense_u64(n: usize, k: usize, seeds: &SeedSequence) -> Vec<u64> {
     let sigma = Signal::random(n, k.min(n), &mut seeds.child("signal", 0).rng());
     sigma.dense().iter().map(|&b| b as u64).collect()
+}
+
+/// A design of family `family` at pool size `Γ` (or its family analogue):
+/// with-replacement draws for the regular family (`Γ > n` included), `Γ`
+/// capped at `n` without replacement, membership probability `Γ/n` for
+/// Bernoulli (random pool sizes), and `⌈Γ·m/n⌉` draws per entry for the
+/// configuration model (which needs a query, so `m = 0` falls back to the
+/// regular family).
+fn family_design(
+    family: usize,
+    n: usize,
+    m: usize,
+    gamma: usize,
+    seeds: &SeedSequence,
+) -> AnyDesign {
+    match DesignKind::ALL[family] {
+        DesignKind::NoReplace => {
+            AnyDesign::NoReplace(NoReplaceDesign::sample(n, m, gamma.min(n), seeds))
+        }
+        DesignKind::Bernoulli => {
+            let p = (gamma as f64 / n as f64).min(1.0);
+            AnyDesign::Bernoulli(BernoulliDesign::sample(n, m, p, seeds))
+        }
+        DesignKind::EntryRegular if m > 0 => {
+            let delta = (gamma * m).div_ceil(n);
+            AnyDesign::EntryRegular(EntryRegularDesign::sample(n, m, delta, seeds))
+        }
+        _ => AnyDesign::RandomRegular(CsrDesign::sample(n, m, gamma, seeds)),
+    }
+}
+
+/// One decoder-equivalence case: the design, a hidden signal, and its
+/// additive results. The choices cover every family,
+/// `Γ ∈ {0, 1, n/16, n/2, n, 3n/2}` and `m ∈ {0, 1, 40}`.
+fn decoder_case(
+    family: usize,
+    n: usize,
+    m_choice: usize,
+    gamma_choice: usize,
+    seed: u64,
+) -> (AnyDesign, Signal, Vec<u64>) {
+    let seeds = SeedSequence::new(seed);
+    let m = [0, 1, 40][m_choice];
+    let gamma = [0, 1, n / 16, n / 2, n, 3 * n / 2][gamma_choice];
+    let design = family_design(family, n, m, gamma, &seeds.child("d", 0));
+    let weight = (2 + seed as usize % 9).min(n);
+    let sigma = Signal::random(n, weight, &mut seeds.child("s", 0).rng());
+    let y = execute_queries(&design, &sigma);
+    (design, sigma, y)
+}
+
+/// The decoder weights every case is decoded at: the edges `0`, `1`,
+/// `n − 1`, `n` and `k > n`, a small and a uniform one — every cut
+/// position of the partial selection gets exercised.
+fn decoder_weights(n: usize, seed: u64) -> [usize; 7] {
+    let mix = seed.rotate_left(17) as usize;
+    [0, 1, 2 + seed as usize % 9, mix % (n + 1), n - 1, n, n + 3]
+}
+
+/// Indices of the `k` best `scores` under `(score desc, index asc)` by a
+/// full sort — the selection reference for both transpose-gather paths.
+fn ranked<S: Ord + Copy>(scores: &[S], k: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..scores.len()).collect();
+    order.sort_by_key(|&i| (std::cmp::Reverse(scores[i]), i));
+    order.truncate(k);
+    order
+}
+
+/// The registry outcome a decode with these winners and this score
+/// digest must produce.
+fn expected_outcome(support: &[usize], score_digest: u64, truth: &[u8]) -> (u64, u64, u32, u32) {
+    let hits = support.iter().filter(|&&i| truth[i] == 1).count() as u32;
+    (digest_support(support), score_digest, hits, support.len() as u32)
+}
+
+fn outcome_tuple(o: DecodeOutcome) -> (u64, u64, u32, u32) {
+    (o.support_digest, o.score_digest, o.hits, o.weight)
 }
 
 proptest! {
@@ -283,5 +365,85 @@ proptest! {
             );
         }
         prop_assert_eq!(dstar, want_dstar);
+    }
+
+    /// `GeneralMnDecoder::decode_csr_with` (one gather over the transpose)
+    /// matches the generic two-scatter decode: scores, Ψ, Δ*, estimate,
+    /// and a support in full-sort ranking order; the registry serves the
+    /// same digests on 1 and 2 threads.
+    #[test]
+    fn csr_general_mn_matches_generic(
+        family in 0usize..4,
+        n in 1usize..400,
+        m_choice in 0usize..3,
+        gamma_choice in 0usize..6,
+        threads in 1usize..=2,
+        seed in any::<u64>(),
+    ) {
+        let (design, sigma, y) = decoder_case(family, n, m_choice, gamma_choice, seed);
+        let pool_lens: Vec<u64> = (0..design.m()).map(|q| design.pool_len(q) as u64).collect();
+        let mut ws = MnWorkspace::new();
+        let mut scratch = DecodeScratch::new();
+        for k in decoder_weights(n, seed) {
+            let want = GeneralMnDecoder::new(k).decode(&design, &y);
+            let want_support = ranked(&want.scores, k);
+            let mut scores = Digest::new();
+            want.scores.iter().for_each(|&s| scores.push_i128(s));
+            let want_outcome = expected_outcome(&want_support, scores.finish(), sigma.dense());
+            pool_with_threads(threads).install(|| {
+                GeneralMnDecoder::new(k).decode_csr_with(design.csr(), &pool_lens, &y, &mut ws);
+                prop_assert_eq!(ws.scores_wide(), &want.scores[..], "k={}", k);
+                prop_assert_eq!(ws.psi(), &want.psi[..], "k={}", k);
+                prop_assert_eq!(ws.delta_star(), &want.delta_star[..], "k={}", k);
+                prop_assert_eq!(ws.support(), &want_support[..], "k={}", k);
+                prop_assert_eq!(ws.estimate_dense(), want.estimate.dense(), "k={}", k);
+                let served = decoder(DecoderKind::GeneralMn)
+                    .decode(&design, &y, k, seed, sigma.dense(), &mut scratch);
+                prop_assert_eq!(outcome_tuple(served), want_outcome, "k={}", k);
+            });
+        }
+    }
+
+    /// `ThresholdMnDecoder::decode_csr_with` (bits `y ≥ t` folded into one
+    /// gather) matches the generic bit decode: scores, Ψ⁺, Δ*, estimate,
+    /// and a support in full-sort ranking order; the registry digests the
+    /// ascending support, as the generic decoder's `Signal` reports it.
+    #[test]
+    fn csr_threshold_mn_matches_generic(
+        family in 0usize..4,
+        n in 1usize..400,
+        m_choice in 0usize..3,
+        gamma_choice in 0usize..6,
+        t in 0u64..4,
+        threads in 1usize..=2,
+        seed in any::<u64>(),
+    ) {
+        let (design, sigma, y) = decoder_case(family, n, m_choice, gamma_choice, seed);
+        let bits = |t: u64| -> Vec<u8> { y.iter().map(|&v| u8::from(v >= t)).collect() };
+        let mut ws = MnWorkspace::new();
+        let mut scratch = DecodeScratch::new();
+        for k in decoder_weights(n, seed) {
+            let want = ThresholdMnDecoder::new(k).decode(&design, &bits(t));
+            let want_support = ranked(&want.scores, k);
+            // The served channel: t = max(1, round(Γ·k/n)).
+            let n64 = n as u64;
+            let served_t = ((design.gamma() as u64 * k as u64 + n64 / 2) / n64).max(1);
+            let served_want = ThresholdMnDecoder::new(k).decode(&design, &bits(served_t));
+            let mut scores = Digest::new();
+            served_want.scores.iter().for_each(|&s| scores.push(s as u64));
+            let want_outcome =
+                expected_outcome(served_want.estimate.support(), scores.finish(), sigma.dense());
+            pool_with_threads(threads).install(|| {
+                ThresholdMnDecoder::new(k).decode_csr_with(design.csr(), &y, t, &mut ws);
+                prop_assert_eq!(ws.scores(), &want.scores[..], "k={}", k);
+                prop_assert_eq!(ws.psi(), &want.psi_pos[..], "k={}", k);
+                prop_assert_eq!(ws.delta_star(), &want.delta_star[..], "k={}", k);
+                prop_assert_eq!(ws.support(), &want_support[..], "k={}", k);
+                prop_assert_eq!(ws.estimate_dense(), want.estimate.dense(), "k={}", k);
+                let served = decoder(DecoderKind::ThresholdMn)
+                    .decode(&design, &y, k, seed, sigma.dense(), &mut scratch);
+                prop_assert_eq!(outcome_tuple(served), want_outcome, "k={}", k);
+            });
+        }
     }
 }
